@@ -32,9 +32,10 @@ EpisodeResult RunAblated(Algo algo, utility::MeasureKind measure,
     PLANORDER_CHECK(o.ok()) << o.status();
     orderer = std::move(*o);
   } else {
-    auto o = core::IDripsOrderer::Create(
-        &workload, model->get(), std::move(spaces),
-        core::AbstractionHeuristic::kByCardinality, probes);
+    core::IDripsOptions options;
+    options.probe_lower_bounds = probes;
+    auto o = core::IDripsOrderer::Create(&workload, model->get(),
+                                         std::move(spaces), options);
     PLANORDER_CHECK(o.ok()) << o.status();
     orderer = std::move(*o);
   }

@@ -90,8 +90,10 @@ inline EpisodeResult RunEpisode(
       break;
     }
     case Algo::kIDrips: {
+      core::IDripsOptions options;
+      options.heuristic = heuristic;
       auto o = core::IDripsOrderer::Create(&workload, model->get(),
-                                           std::move(spaces), heuristic);
+                                           std::move(spaces), options);
       PLANORDER_CHECK(o.ok()) << o.status();
       orderer = std::move(*o);
       break;

@@ -57,12 +57,6 @@ void AdaptiveOrderer::SetExternallyCached(int bucket, int source, bool cached) {
   if (inner_ != nullptr) inner_->SetExternallyCached(bucket, source, cached);
 }
 
-void AdaptiveOrderer::set_eval_pool(runtime::ThreadPool* pool) {
-  core::Orderer::set_eval_pool(pool);
-  pool_ = pool;
-  if (inner_ != nullptr) inner_->set_eval_pool(pool);
-}
-
 bool AdaptiveOrderer::NeedsRebuild() const {
   if (observed_ == nullptr || !options_.drift.react_to_observations) {
     return false;
@@ -91,8 +85,7 @@ Status AdaptiveOrderer::Rebuild() {
       PLANORDER_ASSIGN_OR_RETURN(
           std::unique_ptr<core::IDripsOrderer> built,
           core::IDripsOrderer::Create(blended.get(), model.get(),
-                                      std::move(spaces),
-                                      core::IDripsOptions{}));
+                                      std::move(spaces)));
       inner = std::move(built);
       break;
     }
@@ -105,7 +98,6 @@ Status AdaptiveOrderer::Rebuild() {
       break;
     }
   }
-  inner->set_eval_pool(pool_);
   // Replay the conditioning state: the executed prefix first, then the
   // cross-session residency bits, so the fresh inner orderer prices every
   // remaining plan exactly as if it had emitted the prefix itself.

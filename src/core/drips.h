@@ -11,9 +11,6 @@ namespace planorder::core {
 
 /// Result of a Drips run: the winning concrete plan.
 struct DripsResult {
-  /// The winner as an abstract plan (all leaves) — identifies which starting
-  /// forest it came from via winner.forest.
-  AbstractPlan winner;
   ConcretePlan plan;
   double utility = 0.0;
 };
@@ -24,24 +21,13 @@ struct DripsResult {
 /// (l_p >= h_q), until a single concrete plan survives — the highest-utility
 /// concrete plan across the starts, found without evaluating most of them.
 ///
-/// The bucket Drips refines next for `plan`: the non-leaf node with the most
-/// members (-1 when the plan is concrete). Shared with the persistent iDrips
-/// frontier so both refine identically.
-int RefinementBucket(const AbstractPlan& plan);
-
 /// Utilities are conditioned on `ctx`; `evaluations` (may be null) is
 /// incremented once per plan evaluation, the paper's cost metric.
-///
-/// `evaluator` (may be null for a serial run) batches the child evaluations
-/// of each refinement over its thread pool; results, elimination order and
-/// evaluation counts are identical to the serial run.
-class BatchEvaluator;
 StatusOr<DripsResult> RunDrips(const std::vector<AbstractPlan>& starts,
                                const utility::UtilityModel& model,
                                const utility::ExecutionContext& ctx,
                                int64_t* evaluations,
-                               bool probe_lower_bounds = false,
-                               const BatchEvaluator* evaluator = nullptr);
+                               bool probe_lower_bounds = false);
 
 }  // namespace planorder::core
 

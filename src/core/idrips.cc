@@ -12,6 +12,11 @@ namespace {
 /// stack buffer; lets refinement stage parent rows on the stack.
 constexpr int kMaxBuckets = 16;
 
+/// Abstract candidates refined per round (each adds two children). A fixed
+/// constant, so the refinement sequence — and with it every emission — does
+/// not depend on any runtime setting.
+constexpr size_t kRefineWidth = 8;
+
 }  // namespace
 
 StatusOr<std::unique_ptr<IDripsOrderer>> IDripsOrderer::Create(
@@ -21,30 +26,11 @@ StatusOr<std::unique_ptr<IDripsOrderer>> IDripsOrderer::Create(
                              ValidateSpaces(*workload, std::move(spaces)));
   auto orderer = std::unique_ptr<IDripsOrderer>(
       new IDripsOrderer(workload, model, options));
-  if (options.persistent_frontier) {
-    for (const PlanSpace& space : spaces) {
-      orderer->forests_.push_back(std::make_unique<AbstractionForest>(
-          AbstractionForest::Build(*workload, space, options.heuristic)));
-    }
-  } else {
-    for (PlanSpace& space : spaces) orderer->AddSpace(std::move(space));
+  for (const PlanSpace& space : spaces) {
+    orderer->forests_.push_back(std::make_unique<AbstractionForest>(
+        AbstractionForest::Build(*workload, space, options.heuristic)));
   }
   return orderer;
-}
-
-StatusOr<std::unique_ptr<IDripsOrderer>> IDripsOrderer::Create(
-    const stats::Workload* workload, utility::UtilityModel* model,
-    std::vector<PlanSpace> spaces, AbstractionHeuristic heuristic,
-    bool probe_lower_bounds) {
-  IDripsOptions options;
-  options.heuristic = heuristic;
-  options.probe_lower_bounds = probe_lower_bounds;
-  return Create(workload, model, std::move(spaces), options);
-}
-
-StatusOr<OrderedPlan> IDripsOrderer::ComputeNext() {
-  return options_.persistent_frontier ? ComputeNextPersistent()
-                                      : ComputeNextRebuild();
 }
 
 void IDripsOrderer::GrowFrontierArrays() {
@@ -108,7 +94,10 @@ void IDripsOrderer::PushHeapEntry(uint32_t slot) {
   }
 }
 
-void IDripsOrderer::CommitCandidate(uint32_t slot, const EvalResult& eval) {
+void IDripsOrderer::EvaluateCandidate(uint32_t slot) {
+  const EvalResult eval =
+      EvaluateView(MakeView(slot), model(), ctx(), &evaluations_,
+                   options_.probe_lower_bounds);
   const size_t m = static_cast<size_t>(arena_.width());
   lo_[slot] = eval.utility.lo();
   hi_[slot] = eval.utility.hi();
@@ -173,14 +162,8 @@ void IDripsOrderer::SeedFrontier() {
   uint64_t scratch[kMaxBuckets];
   keys_supported_ = model().IndependenceKeys(
       utility::NodeSpan(summaries_.data(), static_cast<size_t>(m)), scratch);
-  view_batch_.clear();
   for (uint32_t slot = 0; slot < arena_.num_slots(); ++slot) {
-    view_batch_.push_back(MakeView(slot));
-  }
-  const std::vector<EvalResult> evals = evaluator().EvaluateViews(
-      view_batch_, model(), ctx(), &evaluations_, options_.probe_lower_bounds);
-  for (uint32_t slot = 0; slot < arena_.num_slots(); ++slot) {
-    CommitCandidate(slot, evals[slot]);
+    EvaluateCandidate(slot);
   }
   refreshed_generation_ = ctx().external_generation();
 }
@@ -264,14 +247,13 @@ void IDripsOrderer::RefreshStaleCandidates() {
   const int64_t generation = ctx().external_generation();
   const int m = arena_.width();
   const uint32_t num_slots = arena_.num_slots();
-  stale_slots_.clear();
 
-  // Phase 1 — staleness test. A candidate proven group-independent of
-  // everything executed since its evaluation keeps its utility and just
-  // fast-forwards its epoch: this is the incremental win over rebuilding the
-  // forests every emission. With model-provided independence keys the test
-  // is a word-AND scan over flat arrays; otherwise fall back to the virtual
-  // per-(candidate, emission) test, fanned out.
+  // A candidate proven group-independent of everything executed since its
+  // evaluation keeps its utility and just fast-forwards its epoch: this is
+  // the incremental win over rebuilding the forests every emission. With
+  // model-provided independence keys the test is a word-AND scan over flat
+  // arrays; otherwise it falls back to the virtual per-(candidate, emission)
+  // test.
   bool keyed = keys_supported_;
   int64_t min_epoch = epoch;
   if (keyed) {
@@ -295,19 +277,16 @@ void IDripsOrderer::RefreshStaleCandidates() {
     if (!keyed) keys_supported_ = false;
   }
 
-  if (keyed) {
-    for (uint32_t slot = 0; slot < num_slots; ++slot) {
-      if (alive_[slot] == 0) continue;
-      // A flipped cross-session cache bit changes residual costs everywhere;
-      // the group-independence test only covers this session's executions,
-      // so a generation mismatch forces re-evaluation unconditionally.
-      if (eval_generation_[slot] != generation) {
-        stale_slots_.push_back(slot);
-        continue;
-      }
+  // Stale candidates are re-evaluated in slot order as they are found.
+  for (uint32_t slot = 0; slot < num_slots; ++slot) {
+    if (alive_[slot] == 0) continue;
+    // A flipped cross-session cache bit changes residual costs everywhere;
+    // the group-independence test only covers this session's executions,
+    // so a generation mismatch forces re-evaluation unconditionally.
+    bool stale = eval_generation_[slot] != generation;
+    if (!stale && keyed) {
       const uint64_t* group = &group_keys_[static_cast<size_t>(slot) *
                                            static_cast<size_t>(m)];
-      bool stale = false;
       for (int64_t e = eval_epoch_[slot]; e < epoch && !stale; ++e) {
         const uint64_t* plan = &plan_keys_[static_cast<size_t>(e - min_epoch) *
                                            static_cast<size_t>(m)];
@@ -320,69 +299,24 @@ void IDripsOrderer::RefreshStaleCandidates() {
         }
         stale = !independent;
       }
-      if (stale) {
-        stale_slots_.push_back(slot);
-      } else {
-        eval_epoch_[slot] = epoch;
-      }
-    }
-  } else {
-    live_snapshot_.clear();
-    for (uint32_t slot = 0; slot < num_slots; ++slot) {
-      if (alive_[slot] != 0) live_snapshot_.push_back(slot);
-    }
-    stale_flags_.assign(live_snapshot_.size(), 0);
-    // Read-only on model and context; each index touches only its own slot
-    // metadata and flag.
-    evaluator().ParallelFor(live_snapshot_.size(), [&](size_t i) {
-      const uint32_t slot = live_snapshot_[i];
-      if (eval_generation_[slot] != generation) {
-        stale_flags_[i] = 1;
-        return;
-      }
+    } else if (!stale) {
       const utility::NodeSpan span(
           &summaries_[static_cast<size_t>(slot) * static_cast<size_t>(m)],
           static_cast<size_t>(m));
       for (size_t e = static_cast<size_t>(eval_epoch_[slot]);
-           e < executed.size(); ++e) {
-        if (!model().GroupIndependentOf(span, executed[e])) {
-          stale_flags_[i] = 1;
-          return;
-        }
+           e < executed.size() && !stale; ++e) {
+        stale = !model().GroupIndependentOf(span, executed[e]);
       }
-      eval_epoch_[slot] = epoch;
-    });
-    for (size_t i = 0; i < live_snapshot_.size(); ++i) {
-      if (stale_flags_[i] != 0) stale_slots_.push_back(live_snapshot_[i]);
     }
-  }
-
-  // Phase 2 — batch re-evaluation of the stale candidates, in slot order.
-  if (stale_slots_.empty()) return;
-  view_batch_.clear();
-  for (uint32_t slot : stale_slots_) view_batch_.push_back(MakeView(slot));
-  const std::vector<EvalResult> evals = evaluator().EvaluateViews(
-      view_batch_, model(), ctx(), &evaluations_, options_.probe_lower_bounds);
-  for (size_t j = 0; j < stale_slots_.size(); ++j) {
-    const uint32_t slot = stale_slots_[j];
-    eval_epoch_[slot] = epoch;
-    eval_generation_[slot] = generation;
-    const Interval& u = evals[j].utility;
-    // Push a fresh heap entry only when the bounds actually moved; an
-    // unchanged candidate's existing entry stays valid (version untouched).
-    if (u.lo() != lo_[slot] || u.hi() != hi_[slot] ||
-        evals[j].model_lo != model_lo_[slot]) {
-      lo_[slot] = u.lo();
-      hi_[slot] = u.hi();
-      width_[slot] = u.width();
-      model_lo_[slot] = evals[j].model_lo;
-      ++heap_version_[slot];
-      PushHeapEntry(slot);
+    if (stale) {
+      RefreshSlot(slot);
+    } else {
+      eval_epoch_[slot] = epoch;
     }
   }
 }
 
-StatusOr<OrderedPlan> IDripsOrderer::ComputeNextPersistent() {
+StatusOr<OrderedPlan> IDripsOrderer::ComputeNext() {
   if (!frontier_seeded_) SeedFrontier();
   if (arena_.num_live() == 0) return NotFoundError("plan spaces exhausted");
   // Under diminishing returns a candidate's utility only falls as plans
@@ -416,11 +350,9 @@ StatusOr<OrderedPlan> IDripsOrderer::ComputeNextPersistent() {
                            : best_concrete->key1;
     // Speculative top-K refinement: pop the most promising abstract
     // candidates (highest upper bound first; ties by wider interval, then
-    // lower rank — the legacy index order). K is fixed by options, never by
-    // the thread count, so the refinement sequence — and with it every
-    // emitted plan — is identical in serial and parallel runs.
+    // lower rank — the legacy index order), K = kRefineWidth.
     targets_.clear();
-    while (targets_.size() < static_cast<size_t>(options_.refine_width)) {
+    while (targets_.size() < kRefineWidth) {
       const FrontierHeap::Entry* top = abstract_heap_.Peek(live);
       if (top == nullptr || !(top->key1 > bar)) break;
       if (lazy && IsStale(top->slot)) {
@@ -448,8 +380,9 @@ StatusOr<OrderedPlan> IDripsOrderer::ComputeNextPersistent() {
     // Each target is split in place: the left child overwrites the parent's
     // slot (inheriting its rank), the right child takes a fresh slot and the
     // next rank. Allocation may grow the arena, so the parent row is staged
-    // on the stack first.
-    right_slots_.clear();
+    // on the stack first. Children evaluate in [left0, right0, left1,
+    // right1, ...] order — the order the legacy implementation evaluated
+    // (and counted) them.
     for (const uint32_t target : targets_) {
       const AbstractionForest& forest = *forests_[forest_of_[target]];
       const uint32_t* parent_row = arena_.row(target);
@@ -478,69 +411,12 @@ StatusOr<OrderedPlan> IDripsOrderer::ComputeNextPersistent() {
       forest_of_[right] = forest_of_[target];
       rank_[right] = next_rank_++;
       arena_.row(target)[bucket] = static_cast<uint32_t>(forest.left(node));
-      right_slots_.push_back(right);
-    }
-    // Children evaluate as one batch in [left0, right0, left1, right1, ...]
-    // order — the order the legacy implementation evaluated (and counted)
-    // them. All allocation is done, so views borrow stable storage.
-    view_batch_.clear();
-    for (size_t k = 0; k < targets_.size(); ++k) {
-      FillSlot(targets_[k]);
-      FillSlot(right_slots_[k]);
-      view_batch_.push_back(MakeView(targets_[k]));
-      view_batch_.push_back(MakeView(right_slots_[k]));
-    }
-    const std::vector<EvalResult> evals = evaluator().EvaluateViews(
-        view_batch_, model(), ctx(), &evaluations_,
-        options_.probe_lower_bounds);
-    for (size_t k = 0; k < targets_.size(); ++k) {
-      CommitCandidate(targets_[k], evals[2 * k]);
-      CommitCandidate(right_slots_[k], evals[2 * k + 1]);
+      FillSlot(target);
+      FillSlot(right);
+      EvaluateCandidate(target);
+      EvaluateCandidate(right);
     }
   }
-}
-
-void IDripsOrderer::AddSpace(PlanSpace space) {
-  auto entry = std::make_unique<SpaceEntry>();
-  entry->forest =
-      AbstractionForest::Build(ctx().workload(), space, options_.heuristic);
-  entry->space = std::move(space);
-  spaces_.push_back(std::move(entry));
-}
-
-StatusOr<OrderedPlan> IDripsOrderer::ComputeNextRebuild() {
-  if (spaces_.empty()) return NotFoundError("plan spaces exhausted");
-  std::vector<AbstractPlan> starts;
-  starts.reserve(spaces_.size());
-  for (const std::unique_ptr<SpaceEntry>& entry : spaces_) {
-    AbstractPlan top;
-    top.forest = &entry->forest;
-    top.nodes.resize(entry->forest.num_buckets());
-    for (int b = 0; b < entry->forest.num_buckets(); ++b) {
-      top.nodes[b] = entry->forest.root(b);
-    }
-    starts.push_back(std::move(top));
-  }
-  PLANORDER_ASSIGN_OR_RETURN(
-      DripsResult best,
-      RunDrips(starts, model(), ctx(), &evaluations_,
-               options_.probe_lower_bounds, &evaluator()));
-
-  // Remove the winner from its space and re-abstract the split spaces.
-  size_t winner_index = spaces_.size();
-  for (size_t i = 0; i < spaces_.size(); ++i) {
-    if (&spaces_[i]->forest == best.winner.forest) {
-      winner_index = i;
-      break;
-    }
-  }
-  PLANORDER_CHECK_LT(winner_index, spaces_.size());
-  const PlanSpace removed = std::move(spaces_[winner_index]->space);
-  spaces_.erase(spaces_.begin() + static_cast<ptrdiff_t>(winner_index));
-  for (PlanSpace& split : SplitAround(removed, best.plan)) {
-    AddSpace(std::move(split));
-  }
-  return OrderedPlan{best.plan, best.utility};
 }
 
 }  // namespace planorder::core

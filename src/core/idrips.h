@@ -6,7 +6,8 @@
 #include <vector>
 
 #include "core/arena.h"
-#include "core/drips.h"
+#include "core/abstraction.h"
+#include "core/evaluate.h"
 #include "core/frontier_heap.h"
 #include "core/orderer.h"
 
@@ -17,84 +18,53 @@ namespace planorder::core {
 struct IDripsOptions {
   AbstractionHeuristic heuristic = AbstractionHeuristic::kByCardinality;
   bool probe_lower_bounds = false;
-  /// Persistent candidate frontier (DESIGN.md §6): keep the surviving Drips
-  /// candidates across ComputeNext() calls, re-evaluate only candidates whose
-  /// utility the executed suffix may have changed (epoch + group-independence
-  /// test), and remove just the winner's cell instead of re-abstracting from
-  /// the forest roots. Emission order and utilities are identical to the
-  /// rebuild mode; only the evaluation count (and wall clock) drops. When
-  /// false, reproduces the original behavior — re-run Drips from the roots
-  /// each emission and re-abstract the split spaces — kept for the
-  /// evaluations-per-emission comparison in bench_core_parallel.
-  bool persistent_frontier = true;
-  /// Number of abstract candidates refined per round in persistent mode
-  /// (each contributes two children to one evaluation batch). Fixed
-  /// independently of the thread count so serial and parallel runs perform
-  /// the same refinements in the same order.
-  int refine_width = 8;
 };
 
 /// The iDrips algorithm (Section 5.2): run Drips across the current plan
 /// spaces to find the best plan, emit it, remove it, repeat. Works for any
-/// utility measure. The persistent-frontier mode (default; DESIGN.md §6)
-/// keeps the Drips candidate partition alive between emissions so dominance
-/// information is carried forward instead of rebuilt every iteration.
+/// utility measure. The Drips candidate partition is kept alive between
+/// emissions (the persistent frontier, DESIGN.md §6): only candidates whose
+/// utility the executed suffix may have changed are re-evaluated, and the
+/// winner's cell is removed instead of re-abstracting from the forest roots,
+/// so dominance information is carried forward instead of rebuilt.
 ///
-/// The persistent frontier is stored flat (DESIGN.md §11): plan rows in a
-/// PlanArena, per-candidate metadata in parallel arrays indexed by slot, and
-/// two lazy FrontierHeaps — abstract candidates by (upper bound, width,
-/// rank), concrete ones by (exact utility, rank) — in place of per-round
-/// linear rescans. Ranks replicate the legacy frontier's vector positions
-/// (a left child refined in place inherits its parent's rank), so heap ties
-/// break exactly as the old index-ordered scans did and the emission
-/// sequence is unchanged.
+/// The frontier is stored flat (DESIGN.md §11): plan rows in a PlanArena,
+/// per-candidate metadata in parallel arrays indexed by slot, and two lazy
+/// FrontierHeaps — abstract candidates by (upper bound, width, rank),
+/// concrete ones by (exact utility, rank) — in place of per-round linear
+/// rescans. Ranks replicate the legacy frontier's vector positions (a left
+/// child refined in place inherits its parent's rank), so heap ties break
+/// exactly as the old index-ordered scans did and the emission sequence is
+/// unchanged.
 class IDripsOrderer : public Orderer {
  public:
   static StatusOr<std::unique_ptr<IDripsOrderer>> Create(
       const stats::Workload* workload, utility::UtilityModel* model,
-      std::vector<PlanSpace> spaces, const IDripsOptions& options);
-
-  /// Legacy signature (pre-options); forwards to the options overload.
-  static StatusOr<std::unique_ptr<IDripsOrderer>> Create(
-      const stats::Workload* workload, utility::UtilityModel* model,
-      std::vector<PlanSpace> spaces,
-      AbstractionHeuristic heuristic = AbstractionHeuristic::kByCardinality,
-      bool probe_lower_bounds = false);
+      std::vector<PlanSpace> spaces, const IDripsOptions& options = {});
 
   std::string name() const override { return "idrips"; }
 
-  /// Candidates currently alive in the persistent frontier (0 in rebuild
-  /// mode); exposed for tests and benchmarks.
+  /// Candidates currently alive in the frontier; exposed for tests and
+  /// benchmarks.
   size_t frontier_size() const { return arena_.num_live(); }
 
  protected:
   StatusOr<OrderedPlan> ComputeNext() override;
 
  private:
-  struct SpaceEntry {
-    PlanSpace space;
-    AbstractionForest forest;
-  };
-
   IDripsOrderer(const stats::Workload* workload, utility::UtilityModel* model,
                 const IDripsOptions& options)
       : Orderer(workload, model), options_(options) {}
 
-  StatusOr<OrderedPlan> ComputeNextPersistent();
-  StatusOr<OrderedPlan> ComputeNextRebuild();
-
-  /// Rebuild mode: (re-)abstract a split space.
-  void AddSpace(PlanSpace space);
-
-  /// Persistent mode: populate the frontier with the root plan of every
-  /// forest (the initial partition of the whole plan space).
+  /// Populates the frontier with the root plan of every forest (the initial
+  /// partition of the whole plan space).
   void SeedFrontier();
 
-  /// Persistent mode, eager path: bring every candidate's utility up to the
-  /// current epoch. Candidates group-independent of the executed suffix
-  /// fast-forward without re-evaluation; the rest are re-evaluated in one
-  /// batch. Used for models without diminishing returns (whose utilities may
-  /// rise, so stale heap keys are not upper bounds) and after an external
+  /// Eager path: bring every candidate's utility up to the current epoch.
+  /// Candidates group-independent of the executed suffix fast-forward
+  /// without re-evaluation; the rest are re-evaluated in slot order. Used
+  /// for models without diminishing returns (whose utilities may rise, so
+  /// stale heap keys are not upper bounds) and after an external
   /// cache-generation change (same reason).
   void RefreshStaleCandidates();
 
@@ -106,7 +76,6 @@ class IDripsOrderer : public Orderer {
   /// epoch when independent; RefreshSlot re-evaluates it and pushes the
   /// updated entry when the bounds moved.
   bool IsStale(uint32_t slot);
-  void RefreshSlot(uint32_t slot);
   /// Appends independence keys of newly executed plans to executed_keys_.
   void EnsureExecutedKeys();
 
@@ -115,9 +84,12 @@ class IDripsOrderer : public Orderer {
   /// Resolves a slot's summaries and concreteness from its arena row.
   void FillSlot(uint32_t slot);
   PlanView MakeView(uint32_t slot) const;
-  /// Writes a fresh evaluation into a slot's metadata, bumps its heap
-  /// version and pushes the new heap entry.
-  void CommitCandidate(uint32_t slot, const EvalResult& eval);
+  /// Evaluates a slot and writes the result into its metadata, bumps its
+  /// heap version and pushes the new heap entry.
+  void EvaluateCandidate(uint32_t slot);
+  /// Re-evaluates a live slot at the current epoch and generation; pushes a
+  /// fresh heap entry only when its bounds moved.
+  void RefreshSlot(uint32_t slot);
   void PushHeapEntry(uint32_t slot);
   /// Drops dead heap entries when they outnumber live candidates enough to
   /// matter (lazy deletion keeps Push O(log live) otherwise).
@@ -131,9 +103,7 @@ class IDripsOrderer : public Orderer {
   }
 
   IDripsOptions options_;
-  /// Rebuild mode state.
-  std::vector<std::unique_ptr<SpaceEntry>> spaces_;
-  /// Persistent mode state. Forests are never rebuilt; stable addresses.
+  /// Forests are never rebuilt; stable addresses.
   std::vector<std::unique_ptr<AbstractionForest>> forests_;
   bool frontier_seeded_ = false;
 
@@ -170,13 +140,8 @@ class IDripsOrderer : public Orderer {
   int64_t keys_epoch_ = 0;
 
   /// Reusable scratch (cleared per use; kept to avoid per-round allocation).
-  std::vector<PlanView> view_batch_;
-  std::vector<uint32_t> stale_slots_;
   std::vector<uint32_t> targets_;
-  std::vector<uint32_t> right_slots_;
   std::vector<uint64_t> plan_keys_;
-  std::vector<uint32_t> live_snapshot_;
-  std::vector<uint8_t> stale_flags_;
 };
 
 }  // namespace planorder::core

@@ -118,6 +118,9 @@ class StreamerOrderer : public Orderer {
   /// True when the node's stored utility still reflects the executed set;
   /// fast-forwards eval_epoch when it does.
   bool UtilityCurrent(Node& node);
+  /// Evaluates the node at the current epoch, stores the result and pushes
+  /// its new heap entry.
+  void EvaluateNode(int node_index);
   /// Pushes the node's current bounds into its selection heap (abstract
   /// nodes by upper bound, concrete ones by exact utility).
   void PushNodeEntry(int node_index);

@@ -66,10 +66,12 @@ StatusOr<std::unique_ptr<OrderingPipeline>> OrderingPipeline::Create(
       break;
     }
     case Algorithm::kIDrips: {
+      core::IDripsOptions idrips_options;
+      idrips_options.heuristic = options.heuristic;
       PLANORDER_ASSIGN_OR_RETURN(
           std::unique_ptr<core::IDripsOrderer> orderer,
           core::IDripsOrderer::Create(workload, pipeline->model_.get(),
-                                      std::move(spaces), options.heuristic));
+                                      std::move(spaces), idrips_options));
       pipeline->orderer_ = std::move(orderer);
       pipeline->algorithm_name_ = "idrips";
       break;

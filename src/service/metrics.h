@@ -80,7 +80,11 @@ struct ServiceMetricsSnapshot {
   /// Stores rejected at load (corruption, version/catalog mismatch) — each
   /// one is a survived cold start, not a crash.
   int64_t plan_store_load_failures = 0;
+  /// Successful whole-store rewrites.
   int64_t plan_store_saves = 0;
+  /// Cold-miss rewrites that failed (the query still answers; the next cold
+  /// miss retries the whole store).
+  int64_t plan_store_save_failures = 0;
 
   // Mediation totals across completed sessions.
   int64_t total_answers = 0;
@@ -119,6 +123,7 @@ struct ServiceMetricsSnapshot {
     plan_store_entries_loaded += other.plan_store_entries_loaded;
     plan_store_load_failures += other.plan_store_load_failures;
     plan_store_saves += other.plan_store_saves;
+    plan_store_save_failures += other.plan_store_save_failures;
     total_answers += other.total_answers;
     total_steps += other.total_steps;
     runtime.Merge(other.runtime);

@@ -25,10 +25,6 @@ QueryService::QueryService(const datalog::Catalog* catalog,
                           ? nullptr
                           : exec::MakeSetOrientedExecutor(source_facts)),
       executor_(executor != nullptr ? executor : owned_executor_.get()),
-      eval_pool_(options_.eval_threads > 0
-                     ? std::make_unique<runtime::ThreadPool>(
-                           options_.eval_threads)
-                     : nullptr),
       clock_(options_.clock != nullptr ? options_.clock
                                        : runtime::RealClock::Instance()),
       cache_(options_.cache_capacity) {
@@ -222,10 +218,11 @@ StatusOr<QueryService::ReformulationOutcome> QueryService::Reformulate(
           fresh->canonical.query, *catalog_, fresh->buckets, *source_facts_,
           options_.estimate));
   cache_.Insert(fresh);
-  if (options_.plan_store != nullptr) {
+  if (options_.plan_store != nullptr && !PersistPlanStore().ok()) {
     // Best-effort: a failed persist leaves the service fully functional
-    // (the next cold miss retries); Metrics counts successful saves.
-    (void)PersistPlanStore();
+    // (the next cold miss retries); Metrics counts the failure.
+    MutexLock lock(mu_);
+    ++plan_store_save_failures_;
   }
   return ReformulationOutcome{std::move(fresh), false};
 }
@@ -260,9 +257,6 @@ Status QueryService::SetUpOrdering(Session& session) {
             workload,
             ResolveSourceNames(session.reformulation_->buckets.buckets),
             options_.observed_stats, adaptive_options));
-    if (eval_pool_ != nullptr) {
-      session.orderer_->set_eval_pool(eval_pool_.get());
-    }
     return OkStatus();
   }
   PLANORDER_ASSIGN_OR_RETURN(
@@ -284,7 +278,6 @@ Status QueryService::SetUpOrdering(Session& session) {
       break;
     }
   }
-  if (eval_pool_ != nullptr) session.orderer_->set_eval_pool(eval_pool_.get());
   return OkStatus();
 }
 
@@ -382,6 +375,7 @@ ServiceMetricsSnapshot QueryService::Metrics() const {
     snapshot.plan_store_entries_loaded = plan_store_entries_loaded_;
     snapshot.plan_store_load_failures = plan_store_load_failures_;
     snapshot.plan_store_saves = plan_store_saves_;
+    snapshot.plan_store_save_failures = plan_store_save_failures_;
     snapshot.runtime = runtime_total_;
   }
   snapshot.cache = cache_.stats();

@@ -22,7 +22,6 @@ bool Applicable(AlgoKind algo, const utility::UtilityModel& model) {
     case AlgoKind::kStreamer:
       return model.diminishing_returns();
     case AlgoKind::kIDrips:
-    case AlgoKind::kIDripsRebuild:
     case AlgoKind::kPi:
       return true;
   }
@@ -41,11 +40,9 @@ StatusOr<std::unique_ptr<core::Orderer>> MakeOrderer(
           core::GreedyOrderer::Create(workload, model, std::move(spaces)));
       return std::unique_ptr<core::Orderer>(std::move(orderer));
     }
-    case AlgoKind::kIDrips:
-    case AlgoKind::kIDripsRebuild: {
+    case AlgoKind::kIDrips: {
       core::IDripsOptions options;
       options.probe_lower_bounds = probe_lower_bounds;
-      options.persistent_frontier = algo == AlgoKind::kIDrips;
       PLANORDER_ASSIGN_OR_RETURN(
           std::unique_ptr<core::IDripsOrderer> orderer,
           core::IDripsOrderer::Create(workload, model, std::move(spaces),
@@ -71,9 +68,7 @@ StatusOr<std::unique_ptr<core::Orderer>> MakeOrderer(
   return InvalidArgumentError("unknown algorithm kind");
 }
 
-StatusOr<std::vector<core::OrderedPlan>> Drain(core::Orderer& orderer,
-                                               runtime::ThreadPool* pool) {
-  orderer.set_eval_pool(pool);
+StatusOr<std::vector<core::OrderedPlan>> Drain(core::Orderer& orderer) {
   std::vector<core::OrderedPlan> emissions;
   while (true) {
     StatusOr<core::OrderedPlan> next = orderer.Next();
@@ -124,34 +119,23 @@ Status RunScenario(const Scenario& scenario, const SimOptions& options,
         continue;
       }
 
-      // Serial baseline: every other check is differential against it.
+      // Baseline drain: every other check is differential against it.
       PLANORDER_ASSIGN_OR_RETURN(
           std::unique_ptr<core::Orderer> orderer,
           MakeOrderer(algo, &workload, model->get(),
                       scenario.probe_lower_bounds));
-      StatusOr<std::vector<core::OrderedPlan>> serial =
-          Drain(*orderer, /*pool=*/nullptr);
-      if (!serial.ok()) {
-        return Contextualize(serial.status(), "drain", kind, algo);
+      StatusOr<std::vector<core::OrderedPlan>> emissions = Drain(*orderer);
+      if (!emissions.ok()) {
+        return Contextualize(emissions.status(), "drain", kind, algo);
       }
       ++local.checks;
 
       if (scenario.check_oracle &&
           full.NumPlans() <= options.max_oracle_plans) {
-        Status status = VerifyExactOrder(workload, kind, {full}, *serial,
+        Status status = VerifyExactOrder(workload, kind, {full}, *emissions,
                                          options.tolerance);
         if (!status.ok()) {
           return Contextualize(status, "oracle", kind, algo);
-        }
-        ++local.checks;
-      }
-
-      for (int threads : scenario.thread_counts) {
-        Status status = CheckParallelAgreement(
-            workload, kind, algo, scenario.probe_lower_bounds, *serial,
-            orderer->plan_evaluations(), threads);
-        if (!status.ok()) {
-          return Contextualize(status, "parallel", kind, algo);
         }
         ++local.checks;
       }

@@ -1,7 +1,7 @@
 /// planorder_sim: the deterministic simulation & differential
 /// property-testing driver (DESIGN.md §7). Sweeps seeded random scenarios —
 /// synthetic LAV catalogs, all Section 6 utility measures, every ordering
-/// algorithm, 1..N evaluation threads, runtime fault/latency schedules —
+/// algorithm, 1..N runtime threads, runtime fault/latency schedules —
 /// and cross-checks each against the exhaustive-order oracle and the
 /// metamorphic properties. On failure it greedily shrinks the scenario to a
 /// minimal reproducer and prints a one-line replay command; the process
@@ -125,7 +125,7 @@ void Usage() {
          "  --seed=S            sweep seed (default 1)\n"
          "  --iters=N           scenarios to run (default 100)\n"
          "  --start=K           first sweep step (default 0)\n"
-         "  --threads=a,b       override scenario eval-thread counts\n"
+         "  --threads=a,b       override scenario runtime-thread counts\n"
          "  --anyk=force|only   force the ranked (any-k) check on in every\n"
          "                      scenario; 'only' also turns every other\n"
          "                      check off (the CI ranked slice)\n"

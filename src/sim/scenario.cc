@@ -38,8 +38,6 @@ std::string AlgoKindName(AlgoKind kind) {
       return "greedy";
     case AlgoKind::kIDrips:
       return "idrips";
-    case AlgoKind::kIDripsRebuild:
-      return "idrips-rebuild";
     case AlgoKind::kStreamer:
       return "streamer";
     case AlgoKind::kPi:
@@ -56,8 +54,8 @@ StatusOr<AlgoKind> AlgoKindFromName(const std::string& name) {
 }
 
 std::vector<AlgoKind> AllAlgoKinds() {
-  return {AlgoKind::kGreedy, AlgoKind::kIDrips, AlgoKind::kIDripsRebuild,
-          AlgoKind::kStreamer, AlgoKind::kPi};
+  return {AlgoKind::kGreedy, AlgoKind::kIDrips, AlgoKind::kStreamer,
+          AlgoKind::kPi};
 }
 
 std::vector<MeasureKind> AllMeasureKinds() {

@@ -15,11 +15,10 @@ namespace planorder::sim {
 
 /// The ordering algorithms under differential test.
 enum class AlgoKind {
-  kGreedy,         // Section 4; fully monotonic measures only
-  kIDrips,         // Section 5.2, persistent frontier (DESIGN.md §6)
-  kIDripsRebuild,  // Section 5.2, rebuild-from-roots mode
-  kStreamer,       // Section 5.2 Figure 5; diminishing-returns measures only
-  kPi,             // PI baseline (brute force + independence filter)
+  kGreedy,    // Section 4; fully monotonic measures only
+  kIDrips,    // Section 5.2, persistent frontier (DESIGN.md §6)
+  kStreamer,  // Section 5.2 Figure 5; diminishing-returns measures only
+  kPi,        // PI baseline (brute force + independence filter)
 };
 
 /// Stable name ("greedy", "idrips", ...), and its inverse.
@@ -33,7 +32,7 @@ std::vector<utility::MeasureKind> AllMeasureKinds();
 
 /// One fully specified simulation scenario: a synthetic LAV catalog +
 /// workload, the utility measures and ordering algorithms to cross-check,
-/// the evaluation thread counts, and a runtime fault/latency schedule. Every
+/// the runtime thread counts, and a runtime fault/latency schedule. Every
 /// field is derived deterministically from (base_seed, step) by MakeScenario,
 /// so a failure report of `seed:step` replays bit-identically; the shrinker
 /// then mutates fields directly, which is why the struct is flat data with a
@@ -56,8 +55,9 @@ struct Scenario {
   // --- What to cross-check ---
   std::vector<utility::MeasureKind> measures;
   std::vector<AlgoKind> algos;
-  /// Evaluation-pool sizes whose emissions must be byte-identical to the
-  /// serial run. (1 is implied: the serial run is always the baseline.)
+  /// Runtime worker-thread counts (runtime::RuntimeOptions::num_threads)
+  /// whose mediation must reproduce the 1-thread run exactly in the runtime
+  /// equivalence check. (1 is implied: it is always the baseline.)
   std::vector<int> thread_counts;
   bool probe_lower_bounds = false;
 
@@ -69,8 +69,7 @@ struct Scenario {
   /// Ranked (any-k) differential check: stream the weighted answers of the
   /// scenario's synthetic domain through anyk::RankedAnswerStream and demand
   /// byte-identical output to the brute-force sort-all oracle, plus the
-  /// ranked metamorphic properties (monotone weight transform, relabeling,
-  /// serial == parallel).
+  /// ranked metamorphic properties (monotone weight transform, relabeling).
   bool check_ranked = false;
   /// Multi-session cluster check (DESIGN.md §10): run several concurrent
   /// sessions of the scenario's query class through a ShardedService sharing
@@ -93,8 +92,7 @@ struct Scenario {
   /// statistics mid-stream, feed execution observations into an
   /// adaptive::AdaptiveOrderer after every emission, and demand its whole
   /// emission sequence match an independent rebuild-from-observed-stats
-  /// oracle byte-for-byte — plus per-step conditional-maximality and
-  /// serial == parallel at every thread count.
+  /// oracle byte-for-byte — plus per-step conditional-maximality.
   bool check_drift = false;
 
   // --- Drift knobs (check_drift) ---

@@ -16,7 +16,7 @@ namespace planorder::stats {
 /// The ordering core is residual-query bound: the persistent iDrips frontier
 /// performs ~160 evaluations per emission and each evaluation is one or two
 /// residual queries, while boxes are *added* only once per emission. Measured
-/// on bench_core_parallel, the flat cell walk visits ~313 cells per
+/// on a full iDrips coverage drain, the flat cell walk visits ~313 cells per
 /// evaluation yet finds on average 0.07 uncovered regions per visited cell:
 /// almost all of the walk re-proves that already-covered cells are still
 /// covered. This class stores what that walk recomputes.
@@ -41,9 +41,9 @@ namespace planorder::stats {
 /// Mask weights are summed through a per-dimension byte-chunk table
 /// (weighted popcount: 8 table lookups instead of up to 64 count-trailing-
 /// zeros iterations). Summation and recursion orders are fixed by the data
-/// (ascending regions, ascending prefixes), never by thread count or
-/// allocation order, so results are byte-identical across serial and
-/// parallel runs — the determinism contract of DESIGN.md §6. Floating-point
+/// (ascending regions, ascending prefixes), never by allocation order, so
+/// results are byte-identical on every run — the determinism contract of
+/// DESIGN.md §6. Floating-point
 /// grouping differs from CoverageUniverse's flat walk (closed forms multiply
 /// where the walk adds per cell), so the two implementations agree to
 /// rounding, not bit-for-bit; tests/coverage_bitmask_test.cc pins the

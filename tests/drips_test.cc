@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <ostream>
+
 #include "test_util.h"
 
 namespace planorder::core {
 namespace {
 
+using test::Drain;
 using test::MustMakeMeasure;
 using test::MakeWorkload;
 using test::Measure;
@@ -176,6 +181,67 @@ TEST(DripsTest, MultipleForestsPickGlobalBest) {
   }
   EXPECT_NEAR(result->utility, best, 1e-9);
 }
+
+/// FNV-1a over every emitted (plan, utility bit pattern) pair: any change to
+/// the emission order, a tie-break or the last bit of a utility moves it.
+uint64_t EmissionDigest(const std::vector<OrderedPlan>& emissions) {
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const OrderedPlan& emission : emissions) {
+    for (int source : emission.plan) mix(static_cast<uint64_t>(source));
+    uint64_t bits = 0;
+    std::memcpy(&bits, &emission.utility, sizeof(bits));
+    mix(bits);
+  }
+  return h;
+}
+
+// Pins iDrips' exact work on a conditional measure (coverage: every
+// execution changes later utilities). The expected evaluation counts and
+// digests were recorded from the implementation before the ordering core
+// became serial-only; any change to which candidates are refined, refreshed
+// or re-evaluated, or to the emission sequence, fails here.
+struct PinnedWork {
+  bool probes;
+  int64_t evaluations;
+  uint64_t digest;
+};
+
+void PrintTo(const PinnedWork& pinned, std::ostream* os) {
+  *os << (pinned.probes ? "probes on" : "probes off");
+}
+
+class IDripsPinnedWorkTest : public ::testing::TestWithParam<PinnedWork> {};
+
+TEST_P(IDripsPinnedWorkTest, FullDrainOnCoverage) {
+  const PinnedWork& pinned = GetParam();
+  const stats::Workload w = MakeWorkload(3, 8, 0.4, 7);
+  auto model = MustMakeMeasure(Measure::kCoverage, &w);
+  IDripsOptions options;
+  options.probe_lower_bounds = pinned.probes;
+  auto orderer = IDripsOrderer::Create(&w, model.get(),
+                                       {PlanSpace::FullSpace(w)}, options);
+  ASSERT_TRUE(orderer.ok()) << orderer.status();
+  const std::vector<OrderedPlan> emissions = Drain(**orderer);
+  ASSERT_EQ(emissions.size(), 8u * 8u * 8u);
+  EXPECT_EQ((*orderer)->plan_evaluations(), pinned.evaluations);
+  EXPECT_EQ(EmissionDigest(emissions), pinned.digest);
+  EXPECT_EQ((*orderer)->frontier_size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Probes, IDripsPinnedWorkTest,
+    ::testing::Values(PinnedWork{false, 2040, 1516817131017103109ull},
+                      PinnedWork{true, 2952, 8035714467266492037ull}),
+    [](const ::testing::TestParamInfo<PinnedWork>& info) {
+      return info.param.probes ? std::string("ProbesOn")
+                               : std::string("ProbesOff");
+    });
 
 }  // namespace
 }  // namespace planorder::core

@@ -100,8 +100,11 @@ TEST_P(OrdererAgreementTest, AllAlgorithmsProduceTheExactOrdering) {
         AbstractionHeuristic::kByMaskSimilarity, AbstractionHeuristic::kRandom}) {
     for (bool probes : {false, true}) {
       auto model = MustMakeMeasure(c.measure, &w);
+      core::IDripsOptions options;
+      options.heuristic = h;
+      options.probe_lower_bounds = probes;
       auto idrips =
-          core::IDripsOrderer::Create(&w, model.get(), spaces, h, probes);
+          core::IDripsOrderer::Create(&w, model.get(), spaces, options);
       ASSERT_TRUE(idrips.ok());
       const auto plans = Drain(**idrips);
       ExpectSameUtilitySequence(reference, plans, "idrips vs naive");

@@ -1,6 +1,8 @@
 #include "service/query_service.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -9,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "adaptive/plan_store.h"
 #include "datalog/unify.h"
 #include "exec/synthetic_domain.h"
 
@@ -309,20 +312,29 @@ TEST(QueryServiceTest, IDripsOrdererProducesSamePlansAsStreamer) {
   EXPECT_EQ(a->sound_plans, b->sound_plans);
 }
 
-TEST(QueryServiceTest, SharedEvalPoolDoesNotChangeAnyRun) {
-  // A service-owned evaluation pool (ServiceOptions::eval_threads) fans
-  // utility evaluation out per session; the determinism contract (DESIGN.md
-  // §6) promises plan order and answers identical to the serial service.
+TEST(QueryServiceTest, FailedPlanStoreSaveIsCountedAndTheQueryAnswers) {
+  // The store's parent "directory" is a regular file, so every save fails
+  // with ENOTDIR — also for root, which ignores permission bits.
+  const std::string blocker = "query_service_test_not_a_directory";
+  std::remove(blocker.c_str());
+  {
+    std::ofstream file(blocker);
+    file << "not a directory\n";
+  }
+  adaptive::PlanStore store(blocker + "/plans.planstore");
   auto d = MakeDomain();
-  ServiceOptions pooled_opts;
-  pooled_opts.eval_threads = 4;
-  QueryService serial(&d->catalog, &d->source_facts, ServiceOptions{});
-  QueryService pooled(&d->catalog, &d->source_facts, pooled_opts);
-  auto a = serial.RunQuery(d->query, Limits(16));
-  auto b = pooled.RunQuery(d->query, Limits(16));
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  ExpectSameTrace(*a, *b);
+  ServiceOptions options;
+  options.plan_store = &store;
+  QueryService service(&d->catalog, &d->source_facts, options);
+  auto result = service.RunQuery(d->query, Limits(16));
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GT(result->total_answers, 0u);
+
+  const ServiceMetricsSnapshot metrics = service.Metrics();
+  EXPECT_EQ(metrics.plan_store_save_failures, 1);
+  EXPECT_EQ(metrics.plan_store_saves, 0);
+  EXPECT_EQ(metrics.sessions_completed, 1);
+  std::remove(blocker.c_str());
 }
 
 TEST(QueryServiceTest, PerSessionRuntimeSnapshotIsIsolated) {
