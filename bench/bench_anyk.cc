@@ -27,6 +27,7 @@
 #include "anyk/ranked_stream.h"
 #include "base/logging.h"
 #include "bench_util.h"
+#include "core/idrips.h"
 #include "core/plan_space.h"
 #include "exec/synthetic_domain.h"
 #include "reformulation/executable_order.h"

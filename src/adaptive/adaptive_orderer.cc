@@ -2,9 +2,6 @@
 
 #include <utility>
 
-#include "core/idrips.h"
-#include "core/streamer.h"
-
 namespace planorder::adaptive {
 
 StatusOr<std::unique_ptr<AdaptiveOrderer>> AdaptiveOrderer::Create(
@@ -77,27 +74,9 @@ Status AdaptiveOrderer::Rebuild() {
   PLANORDER_ASSIGN_OR_RETURN(std::unique_ptr<utility::UtilityModel> model,
                              utility::MakeMeasure(options_.measure,
                                                   blended.get()));
-  std::vector<core::PlanSpace> spaces;
-  spaces.push_back(core::PlanSpace::FullSpace(*blended));
-  std::unique_ptr<core::Orderer> inner;
-  switch (options_.inner) {
-    case InnerOrderer::kIDrips: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::IDripsOrderer> built,
-          core::IDripsOrderer::Create(blended.get(), model.get(),
-                                      std::move(spaces)));
-      inner = std::move(built);
-      break;
-    }
-    case InnerOrderer::kStreamer: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::StreamerOrderer> built,
-          core::StreamerOrderer::Create(blended.get(), model.get(),
-                                        std::move(spaces)));
-      inner = std::move(built);
-      break;
-    }
-  }
+  PLANORDER_ASSIGN_OR_RETURN(
+      std::unique_ptr<core::Orderer> inner,
+      core::MakeOrderer(options_.inner, blended.get(), model.get()));
   // Replay the conditioning state: the executed prefix first, then the
   // cross-session residency bits, so the fresh inner orderer prices every
   // remaining plan exactly as if it had emitted the prefix itself.

@@ -10,17 +10,21 @@
 #include "adaptive/drift_monitor.h"
 #include "adaptive/observed_stats.h"
 #include "base/status.h"
+#include "core/make_orderer.h"
 #include "core/orderer.h"
 #include "stats/workload.h"
 #include "utility/measures.h"
 
 namespace planorder::adaptive {
 
-/// Which ordering algorithm ranks plans under the current statistics.
-enum class InnerOrderer { kIDrips, kStreamer };
+/// Kept as an alias so existing callers spelling
+/// `adaptive::InnerOrderer::kIDrips` (the perfbench harness among them)
+/// still build; the algorithm enum itself is core::OrdererKind.
+using InnerOrderer = core::OrdererKind;
 
 struct AdaptiveOptions {
-  InnerOrderer inner = InnerOrderer::kIDrips;
+  /// Which ordering algorithm ranks plans under the current statistics.
+  core::OrdererKind inner = core::OrdererKind::kIDrips;
   utility::MeasureKind measure = utility::MeasureKind::kAdditive;
   DriftOptions drift;
 };

@@ -24,6 +24,16 @@ enum class AbstractionHeuristic {
   kRandom,
 };
 
+/// Tuning knobs of the abstraction-based orderers, iDrips and Streamer
+/// (defaults reproduce the paper's exact ordering semantics at the lowest
+/// evaluation cost).
+struct OrdererOptions {
+  AbstractionHeuristic heuristic = AbstractionHeuristic::kByCardinality;
+  /// Lift abstract lower bounds by one probe member's exact utility
+  /// (core/evaluate.h).
+  bool probe_lower_bounds = false;
+};
+
 /// Per-bucket binary abstraction trees over one plan space. Node 0..n-1 are
 /// shared across buckets in one arena; each leaf is a concrete source of the
 /// space, each inner node the abstraction of its two children with hulled

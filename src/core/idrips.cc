@@ -21,7 +21,7 @@ constexpr size_t kRefineWidth = 8;
 
 StatusOr<std::unique_ptr<IDripsOrderer>> IDripsOrderer::Create(
     const stats::Workload* workload, utility::UtilityModel* model,
-    std::vector<PlanSpace> spaces, const IDripsOptions& options) {
+    std::vector<PlanSpace> spaces, const OrdererOptions& options) {
   PLANORDER_ASSIGN_OR_RETURN(spaces,
                              ValidateSpaces(*workload, std::move(spaces)));
   auto orderer = std::unique_ptr<IDripsOrderer>(

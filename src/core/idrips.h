@@ -13,13 +13,6 @@
 
 namespace planorder::core {
 
-/// Tuning knobs of IDripsOrderer (defaults reproduce the paper's exact
-/// ordering semantics at the lowest evaluation cost).
-struct IDripsOptions {
-  AbstractionHeuristic heuristic = AbstractionHeuristic::kByCardinality;
-  bool probe_lower_bounds = false;
-};
-
 /// The iDrips algorithm (Section 5.2): run Drips across the current plan
 /// spaces to find the best plan, emit it, remove it, repeat. Works for any
 /// utility measure. The Drips candidate partition is kept alive between
@@ -40,7 +33,7 @@ class IDripsOrderer : public Orderer {
  public:
   static StatusOr<std::unique_ptr<IDripsOrderer>> Create(
       const stats::Workload* workload, utility::UtilityModel* model,
-      std::vector<PlanSpace> spaces, const IDripsOptions& options = {});
+      std::vector<PlanSpace> spaces, const OrdererOptions& options = {});
 
   std::string name() const override { return "idrips"; }
 
@@ -53,7 +46,7 @@ class IDripsOrderer : public Orderer {
 
  private:
   IDripsOrderer(const stats::Workload* workload, utility::UtilityModel* model,
-                const IDripsOptions& options)
+                const OrdererOptions& options)
       : Orderer(workload, model), options_(options) {}
 
   /// Populates the frontier with the root plan of every forest (the initial
@@ -102,7 +95,7 @@ class IDripsOrderer : public Orderer {
            entry.version == heap_version_[entry.slot];
   }
 
-  IDripsOptions options_;
+  OrdererOptions options_;
   /// Forests are never rebuilt; stable addresses.
   std::vector<std::unique_ptr<AbstractionForest>> forests_;
   bool frontier_seeded_ = false;

@@ -8,8 +8,7 @@ namespace planorder::core {
 
 StatusOr<std::unique_ptr<StreamerOrderer>> StreamerOrderer::Create(
     const stats::Workload* workload, utility::UtilityModel* model,
-    std::vector<PlanSpace> spaces, AbstractionHeuristic heuristic,
-    bool probe_lower_bounds) {
+    std::vector<PlanSpace> spaces, const OrdererOptions& options) {
   if (!model->diminishing_returns()) {
     return FailedPreconditionError(
         "Streamer requires utility-diminishing returns; '" + model->name() +
@@ -18,12 +17,12 @@ StatusOr<std::unique_ptr<StreamerOrderer>> StreamerOrderer::Create(
   PLANORDER_ASSIGN_OR_RETURN(spaces,
                              ValidateSpaces(*workload, std::move(spaces)));
   auto orderer = std::unique_ptr<StreamerOrderer>(
-      new StreamerOrderer(workload, model, probe_lower_bounds));
+      new StreamerOrderer(workload, model, options.probe_lower_bounds));
   // Step 1 (Figure 5): abstract every bucket once; the top plan of each
   // space enters the graph with nil utility.
   for (const PlanSpace& space : spaces) {
     orderer->forests_.push_back(std::make_unique<AbstractionForest>(
-        AbstractionForest::Build(*workload, space, heuristic)));
+        AbstractionForest::Build(*workload, space, options.heuristic)));
     const AbstractionForest& forest = *orderer->forests_.back();
     AbstractPlan top;
     top.forest = &forest;

@@ -45,9 +45,7 @@ class StreamerOrderer : public Orderer {
   /// Fails when `model` lacks diminishing returns (e.g. cost with caching).
   static StatusOr<std::unique_ptr<StreamerOrderer>> Create(
       const stats::Workload* workload, utility::UtilityModel* model,
-      std::vector<PlanSpace> spaces,
-      AbstractionHeuristic heuristic = AbstractionHeuristic::kByCardinality,
-      bool probe_lower_bounds = false);
+      std::vector<PlanSpace> spaces, const OrdererOptions& options = {});
 
   std::string name() const override { return "streamer"; }
 

@@ -4,9 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/idrips.h"
-#include "core/plan_space.h"
-#include "core/streamer.h"
 #include "datalog/canonicalize.h"
 #include "datalog/containment.h"
 #include "datalog/parser.h"
@@ -245,10 +242,7 @@ Status QueryService::SetUpOrdering(Session& session) {
     // The adaptive wrapper owns its per-generation models and inner orderer;
     // the session's reformulation workload serves as the estimate baseline.
     adaptive::AdaptiveOptions adaptive_options;
-    adaptive_options.inner =
-        options_.orderer == ServiceOptions::OrdererKind::kIDrips
-            ? adaptive::InnerOrderer::kIDrips
-            : adaptive::InnerOrderer::kStreamer;
+    adaptive_options.inner = options_.orderer;
     adaptive_options.measure = options_.measure;
     adaptive_options.drift = options_.drift;
     PLANORDER_ASSIGN_OR_RETURN(
@@ -261,23 +255,9 @@ Status QueryService::SetUpOrdering(Session& session) {
   }
   PLANORDER_ASSIGN_OR_RETURN(
       session.model_, utility::MakeMeasure(options_.measure, workload));
-  std::vector<core::PlanSpace> spaces = {core::PlanSpace::FullSpace(*workload)};
-  switch (options_.orderer) {
-    case ServiceOptions::OrdererKind::kStreamer: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          session.orderer_,
-          core::StreamerOrderer::Create(workload, session.model_.get(),
-                                        std::move(spaces)));
-      break;
-    }
-    case ServiceOptions::OrdererKind::kIDrips: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          session.orderer_,
-          core::IDripsOrderer::Create(workload, session.model_.get(),
-                                      std::move(spaces)));
-      break;
-    }
-  }
+  PLANORDER_ASSIGN_OR_RETURN(
+      session.orderer_,
+      core::MakeOrderer(options_.orderer, workload, session.model_.get()));
   return OkStatus();
 }
 

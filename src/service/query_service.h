@@ -9,6 +9,7 @@
 #include "base/mutex.h"
 #include "base/status.h"
 #include "base/thread_annotations.h"
+#include "core/make_orderer.h"
 #include "datalog/source.h"
 #include "exec/mediator.h"
 #include "reformulation/statistics.h"
@@ -39,11 +40,13 @@ struct ServiceOptions {
   /// never waits (full = shed).
   double admission_timeout_ms = 1000.0;
 
-  enum class OrdererKind { kStreamer, kIDrips };
-  OrdererKind orderer = OrdererKind::kStreamer;
+  /// Ordering algorithm of every session. Streamer needs a
+  /// diminishing-returns measure; use core::OrdererKind::kIDrips for the
+  /// caching variants.
+  core::OrdererKind orderer = core::OrdererKind::kStreamer;
 
   /// Utility measure every session's orderer optimizes. Non-diminishing
-  /// measures (the caching variants) require OrdererKind::kIDrips —
+  /// measures (the caching variants) require core::OrdererKind::kIDrips —
   /// Streamer::Create rejects them, and OpenSession surfaces that error.
   utility::MeasureKind measure = utility::MeasureKind::kCoverage;
 

@@ -4,69 +4,13 @@
 #include <sstream>
 #include <utility>
 
-#include "core/greedy.h"
-#include "core/idrips.h"
-#include "core/pi.h"
+#include "core/make_orderer.h"
 #include "core/plan_space.h"
-#include "core/streamer.h"
 #include "runtime/retry_policy.h"
 #include "sim/oracle.h"
 #include "sim/properties.h"
 
 namespace planorder::sim {
-
-bool Applicable(AlgoKind algo, const utility::UtilityModel& model) {
-  switch (algo) {
-    case AlgoKind::kGreedy:
-      return model.fully_monotonic();
-    case AlgoKind::kStreamer:
-      return model.diminishing_returns();
-    case AlgoKind::kIDrips:
-    case AlgoKind::kPi:
-      return true;
-  }
-  return false;
-}
-
-StatusOr<std::unique_ptr<core::Orderer>> MakeOrderer(
-    AlgoKind algo, const stats::Workload* workload,
-    utility::UtilityModel* model, bool probe_lower_bounds) {
-  std::vector<core::PlanSpace> spaces = {
-      core::PlanSpace::FullSpace(*workload)};
-  switch (algo) {
-    case AlgoKind::kGreedy: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::GreedyOrderer> orderer,
-          core::GreedyOrderer::Create(workload, model, std::move(spaces)));
-      return std::unique_ptr<core::Orderer>(std::move(orderer));
-    }
-    case AlgoKind::kIDrips: {
-      core::IDripsOptions options;
-      options.probe_lower_bounds = probe_lower_bounds;
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::IDripsOrderer> orderer,
-          core::IDripsOrderer::Create(workload, model, std::move(spaces),
-                                      options));
-      return std::unique_ptr<core::Orderer>(std::move(orderer));
-    }
-    case AlgoKind::kStreamer: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::StreamerOrderer> orderer,
-          core::StreamerOrderer::Create(
-              workload, model, std::move(spaces),
-              core::AbstractionHeuristic::kByCardinality,
-              probe_lower_bounds));
-      return std::unique_ptr<core::Orderer>(std::move(orderer));
-    }
-    case AlgoKind::kPi: {
-      PLANORDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::PiOrderer> orderer,
-          core::PiOrderer::Create(workload, model, std::move(spaces)));
-      return std::unique_ptr<core::Orderer>(std::move(orderer));
-    }
-  }
-  return InvalidArgumentError("unknown algorithm kind");
-}
 
 StatusOr<std::vector<core::OrderedPlan>> Drain(core::Orderer& orderer) {
   std::vector<core::OrderedPlan> emissions;
@@ -86,10 +30,10 @@ namespace {
 /// Prefixes a check failure with its full coordinates, so the sweep's
 /// failure line alone pinpoints the (check, measure, algo) cell.
 Status Contextualize(const Status& status, const std::string& check,
-                     utility::MeasureKind kind, AlgoKind algo) {
+                     utility::MeasureKind kind, core::OrdererKind algo) {
   std::ostringstream out;
   out << "check=" << check << " measure=" << utility::MeasureKindName(kind)
-      << " algo=" << AlgoKindName(algo) << ": " << status.message();
+      << " algo=" << core::OrdererKindName(algo) << ": " << status.message();
   return Status(status.code(), out.str());
 }
 
@@ -113,8 +57,8 @@ Status RunScenario(const Scenario& scenario, const SimOptions& options,
       ++local.skipped;
       continue;
     }
-    for (AlgoKind algo : scenario.algos) {
-      if (!Applicable(algo, **model)) {
+    for (core::OrdererKind algo : scenario.algos) {
+      if (!core::Applicable(algo, **model)) {
         ++local.skipped;
         continue;
       }
@@ -122,8 +66,9 @@ Status RunScenario(const Scenario& scenario, const SimOptions& options,
       // Baseline drain: every other check is differential against it.
       PLANORDER_ASSIGN_OR_RETURN(
           std::unique_ptr<core::Orderer> orderer,
-          MakeOrderer(algo, &workload, model->get(),
-                      scenario.probe_lower_bounds));
+          core::MakeOrderer(algo, &workload, model->get(),
+                            {.probe_lower_bounds =
+                                 scenario.probe_lower_bounds}));
       StatusOr<std::vector<core::OrderedPlan>> emissions = Drain(*orderer);
       if (!emissions.ok()) {
         return Contextualize(emissions.status(), "drain", kind, algo);

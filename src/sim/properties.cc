@@ -54,10 +54,11 @@ bool IsPowerOfTwo(double x) {
 
 StatusOr<std::vector<core::OrderedPlan>> RunAlgo(
     const stats::Workload& workload, utility::UtilityModel* model,
-    AlgoKind algo, bool probe_lower_bounds) {
+    core::OrdererKind algo, bool probe_lower_bounds) {
   PLANORDER_ASSIGN_OR_RETURN(
       std::unique_ptr<core::Orderer> orderer,
-      MakeOrderer(algo, &workload, model, probe_lower_bounds));
+      core::MakeOrderer(algo, &workload, model,
+                        {.probe_lower_bounds = probe_lower_bounds}));
   return Drain(*orderer);
 }
 
@@ -84,7 +85,7 @@ Interval AffineModel::Evaluate(utility::NodeSpan nodes,
 }
 
 Status CheckMonotoneTransform(const stats::Workload& workload,
-                              utility::MeasureKind kind, AlgoKind algo,
+                              utility::MeasureKind kind, core::OrdererKind algo,
                               bool probe_lower_bounds, double scale,
                               double shift, double tolerance) {
   PLANORDER_ASSIGN_OR_RETURN(std::unique_ptr<utility::UtilityModel> base,
@@ -140,7 +141,7 @@ Status CheckMonotoneTransform(const stats::Workload& workload,
 }
 
 Status CheckRelabelInvariance(const stats::Workload& workload,
-                              utility::MeasureKind kind, AlgoKind algo,
+                              utility::MeasureKind kind, core::OrdererKind algo,
                               bool probe_lower_bounds, uint64_t perm_seed,
                               double tolerance, uint64_t max_oracle_plans) {
   PLANORDER_ASSIGN_OR_RETURN(std::unique_ptr<utility::UtilityModel> base,
@@ -480,8 +481,8 @@ Status CheckRankedEmission(const Scenario& scenario,
                              &domain->workload));
     PLANORDER_ASSIGN_OR_RETURN(
         std::unique_ptr<core::Orderer> orderer,
-        MakeOrderer(AlgoKind::kIDrips, &domain->workload, model.get(),
-                    /*probe_lower_bounds=*/false));
+        core::MakeOrderer(core::OrdererKind::kIDrips, &domain->workload,
+                          model.get()));
     anyk::RankedAnswerStream::Options run_options = options;
     run_options.weights = weights;
     PLANORDER_ASSIGN_OR_RETURN(
@@ -691,7 +692,7 @@ Status CheckMultiSession(const Scenario& scenario, double tolerance) {
     cluster::ClusterOptions copts;
     copts.num_shards = std::max(1, std::min(scenario.num_shards, 8));
     copts.source_cache = &fx->cache;
-    copts.shard.orderer = service::ServiceOptions::OrdererKind::kIDrips;
+    copts.shard.orderer = core::OrdererKind::kIDrips;
     copts.shard.measure = utility::MeasureKind::kFailureCache;
     // All sessions share one query class and therefore one home shard; size
     // that shard to admit every client with no shedding or waiting.
@@ -906,7 +907,7 @@ StatusOr<std::vector<core::OrderedPlan>> RunAdaptiveDrift(
   adaptive::ObservedStats observed(
       adaptive::ObservedStatsOptions{scenario.drift_decay});
   adaptive::AdaptiveOptions options;
-  options.inner = adaptive::InnerOrderer::kIDrips;
+  options.inner = core::OrdererKind::kIDrips;
   options.measure = world.kind;
   options.drift = MakeDriftOptions(scenario, !scenario.drift_inject_stale);
   PLANORDER_ASSIGN_OR_RETURN(

@@ -69,7 +69,7 @@ class AffineModel : public utility::UtilityModel {
 /// exactly; otherwise utilities must match within `tolerance` after the
 /// inverse transform.
 Status CheckMonotoneTransform(const stats::Workload& workload,
-                              utility::MeasureKind kind, AlgoKind algo,
+                              utility::MeasureKind kind, core::OrdererKind algo,
                               bool probe_lower_bounds, double scale,
                               double shift, double tolerance);
 
@@ -81,7 +81,7 @@ Status CheckMonotoneTransform(const stats::Workload& workload,
 /// the permuted emissions to pass the exhaustive-order oracle in their own
 /// basis when the space has at most `max_oracle_plans` plans.
 Status CheckRelabelInvariance(const stats::Workload& workload,
-                              utility::MeasureKind kind, AlgoKind algo,
+                              utility::MeasureKind kind, core::OrdererKind algo,
                               bool probe_lower_bounds, uint64_t perm_seed,
                               double tolerance, uint64_t max_oracle_plans);
 

@@ -32,30 +32,9 @@ std::string JoinInts(const std::vector<int>& values) {
 
 }  // namespace
 
-std::string AlgoKindName(AlgoKind kind) {
-  switch (kind) {
-    case AlgoKind::kGreedy:
-      return "greedy";
-    case AlgoKind::kIDrips:
-      return "idrips";
-    case AlgoKind::kStreamer:
-      return "streamer";
-    case AlgoKind::kPi:
-      return "pi";
-  }
-  return "unknown";
-}
-
-StatusOr<AlgoKind> AlgoKindFromName(const std::string& name) {
-  for (AlgoKind kind : AllAlgoKinds()) {
-    if (AlgoKindName(kind) == name) return kind;
-  }
-  return InvalidArgumentError("unknown algorithm '" + name + "'");
-}
-
-std::vector<AlgoKind> AllAlgoKinds() {
-  return {AlgoKind::kGreedy, AlgoKind::kIDrips, AlgoKind::kStreamer,
-          AlgoKind::kPi};
+std::vector<core::OrdererKind> SimOrdererKinds() {
+  return {core::OrdererKind::kGreedy, core::OrdererKind::kIDrips,
+          core::OrdererKind::kStreamer, core::OrdererKind::kPi};
 }
 
 std::vector<MeasureKind> AllMeasureKinds() {
@@ -137,7 +116,7 @@ std::string Scenario::Serialize() const {
   out << " algos=";
   for (size_t i = 0; i < algos.size(); ++i) {
     if (i > 0) out << ",";
-    out << AlgoKindName(algos[i]);
+    out << core::OrdererKindName(algos[i]);
   }
   out << " thread_counts=" << JoinInts(thread_counts);
   out << " probe_lower_bounds=" << (probe_lower_bounds ? 1 : 0);
@@ -217,7 +196,8 @@ StatusOr<Scenario> Scenario::Deserialize(const std::string& line) {
         }
       } else if (key == "algos") {
         for (const std::string& name : split_list(value)) {
-          PLANORDER_ASSIGN_OR_RETURN(AlgoKind kind, AlgoKindFromName(name));
+          PLANORDER_ASSIGN_OR_RETURN(core::OrdererKind kind,
+                                     core::OrdererKindFromName(name));
           s.algos.push_back(kind);
         }
       } else if (key == "thread_counts") {
@@ -321,7 +301,7 @@ Scenario MakeScenario(uint64_t base_seed, int step) {
   // (e.g. Greedy under a non-monotonic measure) are skipped by the harness,
   // and shrinking narrows the cross product once a failure is in hand.
   s.measures = AllMeasureKinds();
-  s.algos = AllAlgoKinds();
+  s.algos = SimOrdererKinds();
   s.thread_counts = {2, int(rng.UniformInt(3, 8))};
   Shuffle(s.thread_counts, rng);
   s.probe_lower_bounds = rng.Bernoulli(0.5);

@@ -7,26 +7,19 @@
 
 #include "anyk/weights.h"
 #include "base/status.h"
+#include "core/make_orderer.h"
 #include "runtime/remote_source.h"
 #include "stats/workload.h"
 #include "utility/measures.h"
 
 namespace planorder::sim {
 
-/// The ordering algorithms under differential test.
-enum class AlgoKind {
-  kGreedy,    // Section 4; fully monotonic measures only
-  kIDrips,    // Section 5.2, persistent frontier (DESIGN.md §6)
-  kStreamer,  // Section 5.2 Figure 5; diminishing-returns measures only
-  kPi,        // PI baseline (brute force + independence filter)
-};
-
-/// Stable name ("greedy", "idrips", ...), and its inverse.
-std::string AlgoKindName(AlgoKind kind);
-StatusOr<AlgoKind> AlgoKindFromName(const std::string& name);
-
-/// All algorithm kinds, in enum order.
-std::vector<AlgoKind> AllAlgoKinds();
+/// The ordering algorithms every scenario cross-checks: greedy, idrips,
+/// streamer, pi, in that order. A fixed list rather than every
+/// core::OrdererKind, so a kind added to the core enum (kNaive, PI without
+/// its independence filter) changes neither the scenarios a seed draws nor
+/// the replay of tests/sim_corpus.txt.
+std::vector<core::OrdererKind> SimOrdererKinds();
 /// All measure kinds, in enum order.
 std::vector<utility::MeasureKind> AllMeasureKinds();
 
@@ -54,7 +47,7 @@ struct Scenario {
 
   // --- What to cross-check ---
   std::vector<utility::MeasureKind> measures;
-  std::vector<AlgoKind> algos;
+  std::vector<core::OrdererKind> algos;
   /// Runtime worker-thread counts (runtime::RuntimeOptions::num_threads)
   /// whose mediation must reproduce the 1-thread run exactly in the runtime
   /// equivalence check. (1 is implied: it is always the baseline.)

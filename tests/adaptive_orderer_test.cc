@@ -75,7 +75,7 @@ TEST(PreloadExecutedTest, RejectedAfterTheFirstNext) {
   ASSERT_TRUE(model.ok());
   auto orderer = core::IDripsOrderer::Create(
       &workload, model->get(), {core::PlanSpace::FullSpace(workload)},
-      core::IDripsOptions{});
+      core::OrdererOptions{});
   ASSERT_TRUE(orderer.ok()) << orderer.status();
 
   EXPECT_TRUE((*orderer)->PreloadExecuted({0, 0}).ok());
@@ -94,7 +94,7 @@ TEST(PreloadExecutedTest, PreloadEqualsLiveExecutionConditioning) {
   ASSERT_TRUE(model_a.ok());
   auto a = core::IDripsOrderer::Create(
       &workload, model_a->get(), {core::PlanSpace::FullSpace(workload)},
-      core::IDripsOptions{});
+      core::OrdererOptions{});
   ASSERT_TRUE(a.ok());
   auto first = (*a)->Next();
   ASSERT_TRUE(first.ok());
@@ -105,7 +105,7 @@ TEST(PreloadExecutedTest, PreloadEqualsLiveExecutionConditioning) {
   ASSERT_TRUE(model_b.ok());
   auto b = core::IDripsOrderer::Create(
       &workload, model_b->get(), {core::PlanSpace::FullSpace(workload)},
-      core::IDripsOptions{});
+      core::OrdererOptions{});
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE((*b)->PreloadExecuted(first->plan).ok());
 
@@ -135,7 +135,7 @@ TEST(AdaptiveOrdererTest, NoObservationsMatchesPlainIDripsExactly) {
   ASSERT_TRUE(model.ok());
   auto plain = core::IDripsOrderer::Create(
       &workload, model->get(), {core::PlanSpace::FullSpace(workload)},
-      core::IDripsOptions{});
+      core::OrdererOptions{});
   ASSERT_TRUE(plain.ok());
   auto want = DrainAll(**plain);
   ASSERT_TRUE(want.ok());
@@ -272,7 +272,7 @@ TEST(AdaptiveOrdererTest, DiscardedEmissionsDoNotCondition) {
   ASSERT_TRUE(model.ok());
   auto plain = core::IDripsOrderer::Create(
       &workload, model->get(), {core::PlanSpace::FullSpace(workload)},
-      core::IDripsOptions{});
+      core::OrdererOptions{});
   ASSERT_TRUE(plain.ok());
   std::vector<core::OrderedPlan> want;
   while (true) {
@@ -313,7 +313,7 @@ TEST(AdaptiveOrdererTest, ExternalResidencyForwardsThroughRebuilds) {
   ASSERT_TRUE(model.ok());
   auto plain = core::IDripsOrderer::Create(
       &workload, model->get(), {core::PlanSpace::FullSpace(workload)},
-      core::IDripsOptions{});
+      core::OrdererOptions{});
   ASSERT_TRUE(plain.ok());
   (*plain)->SetExternallyCached(0, 1, true);
   auto want = DrainAll(**plain);

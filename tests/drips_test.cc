@@ -222,7 +222,7 @@ TEST_P(IDripsPinnedWorkTest, FullDrainOnCoverage) {
   const PinnedWork& pinned = GetParam();
   const stats::Workload w = MakeWorkload(3, 8, 0.4, 7);
   auto model = MustMakeMeasure(Measure::kCoverage, &w);
-  IDripsOptions options;
+  OrdererOptions options;
   options.probe_lower_bounds = pinned.probes;
   auto orderer = IDripsOrderer::Create(&w, model.get(),
                                        {PlanSpace::FullSpace(w)}, options);

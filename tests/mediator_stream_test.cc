@@ -1,12 +1,14 @@
 /// Pull-API edge cases of exec::MediatorStream: exhaustion is sticky,
 /// TakeResult cancels mid-run at a step boundary, and a query with no sound
 /// plan at all still streams its (all-discarded) steps and finishes with an
-/// empty answer set.
+/// empty answer set. Also the quick-start path end to end: ChooseOrderer +
+/// MakeOrderer + OpenStream yields executable rewritings in utility order.
 
 #include "exec/mediator.h"
 
 #include <gtest/gtest.h>
 
+#include "core/make_orderer.h"
 #include "core/pi.h"
 #include "core/streamer.h"
 #include "datalog/parser.h"
@@ -25,6 +27,32 @@ stats::WorkloadOptions SmallOptions(uint64_t seed) {
   options.regions_per_bucket = 8;
   options.seed = seed;
   return options;
+}
+
+/// Runs every rewriting set-oriented and keeps a copy of it, so tests can
+/// inspect the executable atom order the mediator chose.
+class RecordingExecutor : public PlanExecutor {
+ public:
+  explicit RecordingExecutor(const datalog::Database* facts)
+      : inner_(MakeSetOrientedExecutor(facts)) {}
+
+  StatusOr<PlanExecution> ExecutePlan(
+      const datalog::ConjunctiveQuery& rewriting) override {
+    rewritings.push_back(rewriting);
+    return inner_->ExecutePlan(rewriting);
+  }
+
+  std::vector<datalog::ConjunctiveQuery> rewritings;
+
+ private:
+  std::unique_ptr<PlanExecutor> inner_;
+};
+
+/// A 2-subgoal domain of 4 x 4 plans; identity views make every plan sound.
+StatusOr<std::unique_ptr<SyntheticDomain>> TwoSubgoalDomain() {
+  stats::WorkloadOptions options = SmallOptions(77);
+  options.query_length = 2;
+  return BuildSyntheticDomain(options, 150);
 }
 
 TEST(MediatorStreamTest, ExhaustionIsSticky) {
@@ -194,6 +222,72 @@ TEST(MediatorStreamTest, RejectsNonPositiveMaxPlans) {
   auto stream = mediator.OpenStream(**orderer, limits, *executor);
   ASSERT_FALSE(stream.ok());
   EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(MediatorStreamTest, ChosenOrdererStreamsExecutableRewritingsInOrder) {
+  auto domain = TwoSubgoalDomain();
+  ASSERT_TRUE(domain.ok());
+  const SyntheticDomain& d = **domain;
+  auto model =
+      test::MustMakeMeasure(utility::MeasureKind::kFailureNoCache, &d.workload);
+  auto orderer = core::MakeOrderer(core::ChooseOrderer(*model), &d.workload,
+                                   model.get());
+  ASSERT_TRUE(orderer.ok()) << orderer.status();
+  EXPECT_EQ((*orderer)->name(), "streamer");
+  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
+  RecordingExecutor executor(&d.source_facts);
+  Mediator::RunLimits limits;
+  limits.max_plans = 64;
+  auto stream = mediator.OpenStream(**orderer, limits, executor);
+  ASSERT_TRUE(stream.ok());
+
+  double last = 1e300;
+  int steps = 0;
+  while (true) {
+    auto step = stream->NextStep();
+    if (!step.ok()) {
+      ASSERT_EQ(step.status().code(), StatusCode::kNotFound) << step.status();
+      break;
+    }
+    ++steps;
+    EXPECT_TRUE(step->sound && step->executable) << "step " << steps;
+    EXPECT_LE(step->estimated_utility, last + 1e-12) << "step " << steps;
+    last = step->estimated_utility;
+  }
+  EXPECT_EQ(steps, 16);
+  ASSERT_EQ(executor.rewritings.size(), 16u);
+  for (const datalog::ConjunctiveQuery& rewriting : executor.rewritings) {
+    EXPECT_TRUE(rewriting.ValidateSafety().ok());
+    EXPECT_EQ(rewriting.body.size(), 2u);
+  }
+  EXPECT_GT((*orderer)->plan_evaluations(), 0);
+}
+
+TEST(MediatorStreamTest, ExecutesRewritingsUnderBindingPatterns) {
+  // Every bucket-1 source requires its first argument bound: plans stay
+  // executable (bucket 0 binds it), and the rewriting orders bucket 0 first.
+  auto domain = TwoSubgoalDomain();
+  ASSERT_TRUE(domain.ok());
+  SyntheticDomain& d = **domain;
+  for (datalog::SourceId id : d.source_ids[1]) {
+    ASSERT_TRUE(d.catalog.SetBindingPattern(id, "bf").ok());
+  }
+  auto model = test::MustMakeMeasure(utility::MeasureKind::kCost2, &d.workload);
+  auto orderer = core::MakeOrderer(core::ChooseOrderer(*model), &d.workload,
+                                   model.get());
+  ASSERT_TRUE(orderer.ok()) << orderer.status();
+  Mediator mediator(&d.catalog, d.query, &d.source_facts, d.source_ids);
+  RecordingExecutor executor(&d.source_facts);
+  Mediator::RunLimits limits;
+  limits.max_plans = 1;
+  auto stream = mediator.OpenStream(**orderer, limits, executor);
+  ASSERT_TRUE(stream.ok());
+  auto step = stream->NextStep();
+  ASSERT_TRUE(step.ok()) << step.status();
+  EXPECT_TRUE(step->sound && step->executable);
+  ASSERT_EQ(executor.rewritings.size(), 1u);
+  // First atom must be a bucket-0 source (name prefix v0_).
+  EXPECT_EQ(executor.rewritings[0].body[0].predicate.substr(0, 3), "v0_");
 }
 
 }  // namespace

@@ -100,11 +100,9 @@ TEST_P(OrdererAgreementTest, AllAlgorithmsProduceTheExactOrdering) {
         AbstractionHeuristic::kByMaskSimilarity, AbstractionHeuristic::kRandom}) {
     for (bool probes : {false, true}) {
       auto model = MustMakeMeasure(c.measure, &w);
-      core::IDripsOptions options;
-      options.heuristic = h;
-      options.probe_lower_bounds = probes;
-      auto idrips =
-          core::IDripsOrderer::Create(&w, model.get(), spaces, options);
+      auto idrips = core::IDripsOrderer::Create(
+          &w, model.get(), spaces,
+          {.heuristic = h, .probe_lower_bounds = probes});
       ASSERT_TRUE(idrips.ok());
       const auto plans = Drain(**idrips);
       ExpectSameUtilitySequence(reference, plans, "idrips vs naive");
@@ -117,7 +115,7 @@ TEST_P(OrdererAgreementTest, AllAlgorithmsProduceTheExactOrdering) {
   for (bool probes : {false, true}) {
     auto model = MustMakeMeasure(c.measure, &w);
     auto streamer = core::StreamerOrderer::Create(
-        &w, model.get(), spaces, AbstractionHeuristic::kByCardinality, probes);
+        &w, model.get(), spaces, {.probe_lower_bounds = probes});
     if (model->diminishing_returns()) {
       ASSERT_TRUE(streamer.ok()) << streamer.status();
       const auto plans = Drain(**streamer);
@@ -200,7 +198,6 @@ TEST(OrdererDiscardTest, DiscardedPlansDoNotConditionUtilities) {
   // computed as if nothing ran, so the utilities match the unconditioned
   // coverage ranking (with already-emitted plans removed).
   stats::Workload w = MakeWorkload(3, 4, 0.3, 9);
-  const std::vector<PlanSpace> spaces = {PlanSpace::FullSpace(w)};
   auto model = MustMakeMeasure(Measure::kCoverage, &w);
 
   // Unconditioned ranking: coverage of every plan against an empty context.
@@ -216,24 +213,12 @@ TEST(OrdererDiscardTest, DiscardedPlansDoNotConditionUtilities) {
   }
   std::sort(unconditioned.rbegin(), unconditioned.rend());
 
-  for (auto make :
-       {+[](const stats::Workload* w, utility::UtilityModel* m,
-            std::vector<PlanSpace> s) -> std::unique_ptr<core::Orderer> {
-          auto o = core::PiOrderer::Create(w, m, std::move(s));
-          return o.ok() ? std::move(*o) : nullptr;
-        },
-        +[](const stats::Workload* w, utility::UtilityModel* m,
-            std::vector<PlanSpace> s) -> std::unique_ptr<core::Orderer> {
-          auto o = core::StreamerOrderer::Create(w, m, std::move(s));
-          return o.ok() ? std::move(*o) : nullptr;
-        },
-        +[](const stats::Workload* w, utility::UtilityModel* m,
-            std::vector<PlanSpace> s) -> std::unique_ptr<core::Orderer> {
-          auto o = core::IDripsOrderer::Create(w, m, std::move(s));
-          return o.ok() ? std::move(*o) : nullptr;
-        }}) {
-    auto orderer = make(&w, model.get(), spaces);
-    ASSERT_NE(orderer, nullptr);
+  for (core::OrdererKind kind :
+       {core::OrdererKind::kPi, core::OrdererKind::kStreamer,
+        core::OrdererKind::kIDrips}) {
+    auto made = core::MakeOrderer(kind, &w, model.get());
+    ASSERT_TRUE(made.ok()) << made.status();
+    std::unique_ptr<core::Orderer> orderer = std::move(*made);
     std::vector<double> emitted;
     while (true) {
       auto next = orderer->Next();

@@ -1,7 +1,8 @@
 /// Edge-case behavior shared by all ordering algorithms: empty inputs,
-/// degenerate spaces, heavy ties, exhaustion, and the discard protocol.
+/// degenerate spaces, heavy ties, exhaustion, and the discard protocol —
+/// plus the core::MakeOrderer factory contract.
 
-#include <functional>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -15,83 +16,113 @@ using test::MakeWorkload;
 using test::Measure;
 using test::MustMakeMeasure;
 
-using MakeOrderer = std::function<StatusOr<std::unique_ptr<Orderer>>(
-    const stats::Workload*, utility::UtilityModel*, std::vector<PlanSpace>)>;
+/// Every algorithm kind, in enum order.
+constexpr OrdererKind kAllKinds[] = {OrdererKind::kGreedy, OrdererKind::kIDrips,
+                                     OrdererKind::kStreamer, OrdererKind::kPi,
+                                     OrdererKind::kNaive};
 
-std::vector<std::pair<std::string, MakeOrderer>> AllOrderers() {
-  return {
-      {"pi",
-       [](const stats::Workload* w, utility::UtilityModel* m,
-          std::vector<PlanSpace> s) -> StatusOr<std::unique_ptr<Orderer>> {
-         auto o = PiOrderer::Create(w, m, std::move(s));
-         if (!o.ok()) return o.status();
-         return std::unique_ptr<Orderer>(std::move(*o));
-       }},
-      {"idrips",
-       [](const stats::Workload* w, utility::UtilityModel* m,
-          std::vector<PlanSpace> s) -> StatusOr<std::unique_ptr<Orderer>> {
-         auto o = IDripsOrderer::Create(w, m, std::move(s));
-         if (!o.ok()) return o.status();
-         return std::unique_ptr<Orderer>(std::move(*o));
-       }},
-      {"streamer",
-       [](const stats::Workload* w, utility::UtilityModel* m,
-          std::vector<PlanSpace> s) -> StatusOr<std::unique_ptr<Orderer>> {
-         auto o = StreamerOrderer::Create(w, m, std::move(s));
-         if (!o.ok()) return o.status();
-         return std::unique_ptr<Orderer>(std::move(*o));
-       }},
-  };
+/// The factory contract, one row per (kind, measure): MakeOrderer succeeds
+/// exactly when Applicable holds, the built orderer reports the kind's name,
+/// and names round-trip.
+TEST(OrdererFactoryTest, ContractHoldsForEveryKindAndMeasure) {
+  stats::WorkloadOptions options;
+  options.query_length = 2;
+  options.bucket_size = 3;
+  options.regions_per_bucket = 8;
+  options.alpha_min = options.alpha_max = 0.3;  // admits kCost2UniformAlpha
+  options.seed = 11;
+  auto w = stats::Workload::Generate(options);
+  ASSERT_TRUE(w.ok()) << w.status();
+  for (OrdererKind kind : kAllKinds) {
+    const std::string name = OrdererKindName(kind);
+    auto parsed = OrdererKindFromName(name);
+    ASSERT_TRUE(parsed.ok()) << name;
+    EXPECT_EQ(*parsed, kind) << name;
+    for (Measure measure :
+         {Measure::kAdditive, Measure::kCost2UniformAlpha, Measure::kCost2,
+          Measure::kFailureNoCache, Measure::kFailureCache, Measure::kMonetary,
+          Measure::kMonetaryCache, Measure::kCoverage}) {
+      auto model = MustMakeMeasure(measure, &*w);
+      auto orderer = MakeOrderer(kind, &*w, model.get());
+      const std::string row = name + "/" + test::MeasureName(measure);
+      ASSERT_EQ(orderer.ok(), Applicable(kind, *model)) << row;
+      if (orderer.ok()) {
+        EXPECT_EQ((*orderer)->name(), name) << row;
+      } else {
+        EXPECT_EQ(orderer.status().code(), StatusCode::kFailedPrecondition)
+            << row;
+      }
+    }
+  }
+  auto unknown = OrdererKindFromName("drips");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(OrdererEdgeTest, NoSpacesMeansImmediateExhaustion) {
-  stats::Workload w = MakeWorkload(2, 3, 0.3, 1);
-  auto model = MustMakeMeasure(Measure::kCoverage, &w);
-  for (auto& [name, make] : AllOrderers()) {
-    auto orderer = make(&w, model.get(), {});
-    ASSERT_TRUE(orderer.ok()) << name;
-    auto next = (*orderer)->Next();
-    EXPECT_FALSE(next.ok()) << name;
-    EXPECT_EQ(next.status().code(), StatusCode::kNotFound) << name;
+/// Section 6's guidance, one row per measure class.
+TEST(OrdererFactoryTest, ChooseOrdererFollowsPaperGuidance) {
+  stats::Workload w = MakeWorkload(2, 4, 0.4, 77);
+  const std::pair<Measure, OrdererKind> rows[] = {
+      {Measure::kAdditive, OrdererKind::kGreedy},  // fully monotonic
+      {Measure::kCoverage, OrdererKind::kStreamer},  // diminishing returns
+      {Measure::kFailureNoCache, OrdererKind::kStreamer},
+      {Measure::kFailureCache, OrdererKind::kIDrips},  // DR fails
+      {Measure::kMonetaryCache, OrdererKind::kIDrips},
+  };
+  for (const auto& [measure, expected] : rows) {
+    auto model = MustMakeMeasure(measure, &w);
+    EXPECT_EQ(ChooseOrderer(*model), expected) << test::MeasureName(measure);
   }
 }
 
-TEST(OrdererEdgeTest, EmptyBucketSpacesAreSkipped) {
+/// Edge cases over explicit plan spaces, which MakeOrderer (full space
+/// only) does not build: each orderer class through its own Create.
+template <typename T>
+class ExplicitSpaceTest : public ::testing::Test {};
+using ExplicitSpaceOrderers =
+    ::testing::Types<PiOrderer, IDripsOrderer, StreamerOrderer>;
+TYPED_TEST_SUITE(ExplicitSpaceTest, ExplicitSpaceOrderers);
+
+TYPED_TEST(ExplicitSpaceTest, NoSpacesMeansImmediateExhaustion) {
+  stats::Workload w = MakeWorkload(2, 3, 0.3, 1);
+  auto model = MustMakeMeasure(Measure::kCoverage, &w);
+  auto orderer = TypeParam::Create(&w, model.get(), {});
+  ASSERT_TRUE(orderer.ok());
+  auto next = (*orderer)->Next();
+  EXPECT_FALSE(next.ok());
+  EXPECT_EQ(next.status().code(), StatusCode::kNotFound);
+}
+
+TYPED_TEST(ExplicitSpaceTest, EmptyBucketSpacesAreSkipped) {
   stats::Workload w = MakeWorkload(2, 3, 0.3, 2);
   auto model = MustMakeMeasure(Measure::kCoverage, &w);
   PlanSpace empty;
   empty.buckets = {{0, 1}, {}};
   PlanSpace small;
   small.buckets = {{0}, {2}};
-  for (auto& [name, make] : AllOrderers()) {
-    auto orderer = make(&w, model.get(), {empty, small});
-    ASSERT_TRUE(orderer.ok()) << name;
-    const auto plans = Drain(**orderer);
-    ASSERT_EQ(plans.size(), 1u) << name;
-    EXPECT_EQ(plans[0].plan, (utility::ConcretePlan{0, 2})) << name;
-  }
+  auto orderer = TypeParam::Create(&w, model.get(), {empty, small});
+  ASSERT_TRUE(orderer.ok());
+  const auto plans = Drain(**orderer);
+  ASSERT_EQ(plans.size(), 1u);
+  EXPECT_EQ(plans[0].plan, (utility::ConcretePlan{0, 2}));
 }
 
-TEST(OrdererEdgeTest, UnknownSourceIdRejected) {
+TYPED_TEST(ExplicitSpaceTest, UnknownSourceIdRejected) {
   stats::Workload w = MakeWorkload(2, 3, 0.3, 3);
   auto model = MustMakeMeasure(Measure::kCoverage, &w);
   PlanSpace bad;
   bad.buckets = {{0, 7}, {0}};
-  for (auto& [name, make] : AllOrderers()) {
-    auto orderer = make(&w, model.get(), {bad});
-    EXPECT_FALSE(orderer.ok()) << name;
-    EXPECT_EQ(orderer.status().code(), StatusCode::kInvalidArgument) << name;
-  }
+  auto orderer = TypeParam::Create(&w, model.get(), {bad});
+  EXPECT_FALSE(orderer.ok());
+  EXPECT_EQ(orderer.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(OrdererEdgeTest, WrongBucketCountRejected) {
+TYPED_TEST(ExplicitSpaceTest, WrongBucketCountRejected) {
   stats::Workload w = MakeWorkload(3, 3, 0.3, 4);
   auto model = MustMakeMeasure(Measure::kCoverage, &w);
   PlanSpace bad;
   bad.buckets = {{0}, {0}};  // workload has 3 buckets
-  for (auto& [name, make] : AllOrderers()) {
-    EXPECT_FALSE(make(&w, model.get(), {bad}).ok()) << name;
-  }
+  EXPECT_FALSE(TypeParam::Create(&w, model.get(), {bad}).ok());
 }
 
 TEST(OrdererEdgeTest, MassTiesStillEmitEveryPlanOnce) {
@@ -113,8 +144,10 @@ TEST(OrdererEdgeTest, MassTiesStillEmitEveryPlanOnce) {
   ASSERT_TRUE(w.ok());
   for (Measure measure : {Measure::kCoverage, Measure::kCost2}) {
     auto model = MustMakeMeasure(measure, &*w);
-    for (auto& [name, make] : AllOrderers()) {
-      auto orderer = make(&*w, model.get(), {PlanSpace::FullSpace(*w)});
+    for (OrdererKind kind : kAllKinds) {
+      if (!Applicable(kind, *model)) continue;
+      const std::string name = OrdererKindName(kind);
+      auto orderer = MakeOrderer(kind, &*w, model.get());
       ASSERT_TRUE(orderer.ok()) << name;
       const auto plans = Drain(**orderer);
       ASSERT_EQ(plans.size(), 16u)
@@ -130,8 +163,10 @@ TEST(OrdererEdgeTest, MassTiesStillEmitEveryPlanOnce) {
 TEST(OrdererEdgeTest, ExhaustionIsSticky) {
   stats::Workload w = MakeWorkload(2, 2, 0.3, 5);
   auto model = MustMakeMeasure(Measure::kCoverage, &w);
-  for (auto& [name, make] : AllOrderers()) {
-    auto orderer = make(&w, model.get(), {PlanSpace::FullSpace(w)});
+  for (OrdererKind kind : kAllKinds) {
+    if (!Applicable(kind, *model)) continue;
+    const std::string name = OrdererKindName(kind);
+    auto orderer = MakeOrderer(kind, &w, model.get());
     ASSERT_TRUE(orderer.ok()) << name;
     EXPECT_EQ(Drain(**orderer).size(), 4u) << name;
     for (int i = 0; i < 3; ++i) {
@@ -145,8 +180,10 @@ TEST(OrdererEdgeTest, ExhaustionIsSticky) {
 TEST(OrdererEdgeTest, DiscardKeepsContextClean) {
   stats::Workload w = MakeWorkload(2, 3, 0.4, 6);
   auto model = MustMakeMeasure(Measure::kCoverage, &w);
-  for (auto& [name, make] : AllOrderers()) {
-    auto orderer = make(&w, model.get(), {PlanSpace::FullSpace(w)});
+  for (OrdererKind kind : kAllKinds) {
+    if (!Applicable(kind, *model)) continue;
+    const std::string name = OrdererKindName(kind);
+    auto orderer = MakeOrderer(kind, &w, model.get());
     ASSERT_TRUE(orderer.ok()) << name;
     // Discard before any Next: harmless no-op.
     (*orderer)->ReportDiscarded();
@@ -176,8 +213,7 @@ TEST(OrdererEdgeTest, PlainIntervalModeStaysExact) {
 
     auto model = MustMakeMeasure(measure, &w);
     auto streamer = StreamerOrderer::Create(
-        &w, model.get(), spaces, AbstractionHeuristic::kByCardinality,
-        /*probe_lower_bounds=*/false);
+        &w, model.get(), spaces, {.probe_lower_bounds = false});
     ASSERT_TRUE(streamer.ok());
     const auto via_streamer = Drain(**streamer);
     ASSERT_EQ(via_streamer.size(), expected.size());
@@ -201,8 +237,10 @@ TEST(OrdererEdgeTest, PlainIntervalModeStaysExact) {
 TEST(OrdererEdgeTest, SingleBucketWorkloadOrdersSources) {
   stats::Workload w = MakeWorkload(1, 6, 0.3, 7);
   auto model = MustMakeMeasure(Measure::kCost2, &w);
-  for (auto& [name, make] : AllOrderers()) {
-    auto orderer = make(&w, model.get(), {PlanSpace::FullSpace(w)});
+  for (OrdererKind kind : kAllKinds) {
+    if (!Applicable(kind, *model)) continue;
+    const std::string name = OrdererKindName(kind);
+    auto orderer = MakeOrderer(kind, &w, model.get());
     ASSERT_TRUE(orderer.ok()) << name;
     const auto plans = Drain(**orderer);
     ASSERT_EQ(plans.size(), 6u) << name;

@@ -301,7 +301,7 @@ TEST(QueryServiceTest, IDripsOrdererProducesSamePlansAsStreamer) {
   auto d = MakeDomain();
   ServiceOptions streamer_opts;
   ServiceOptions idrips_opts;
-  idrips_opts.orderer = ServiceOptions::OrdererKind::kIDrips;
+  idrips_opts.orderer = core::OrdererKind::kIDrips;
   QueryService streamer(&d->catalog, &d->source_facts, streamer_opts);
   QueryService idrips(&d->catalog, &d->source_facts, idrips_opts);
   auto a = streamer.RunQuery(d->query, Limits(16));

@@ -61,8 +61,7 @@ TEST(OracleTest, AcceptsCorrectOrderRejectsCorruptions) {
   // Coverage is conditional — the hardest case for the oracle's step-wise
   // recomputation (every emission changes later utilities).
   auto model = test::MustMakeMeasure(test::Measure::kCoverage, &w);
-  auto orderer = MakeOrderer(AlgoKind::kPi, &w, model.get(),
-                             /*probe_lower_bounds=*/false);
+  auto orderer = core::MakeOrderer(core::OrdererKind::kPi, &w, model.get());
   ASSERT_TRUE(orderer.ok()) << orderer.status();
   auto emissions = Drain(**orderer);
   ASSERT_TRUE(emissions.ok()) << emissions.status();
@@ -106,7 +105,7 @@ TEST(ShrinkTest, ReachesSyntheticFixpoint) {
   failing.query_length = 4;
   failing.bucket_size = 5;
   failing.measures = AllMeasureKinds();
-  failing.algos = AllAlgoKinds();
+  failing.algos = SimOrdererKinds();
   failing.thread_counts = {2, 8};
   failing.probe_lower_bounds = true;
   failing.check_oracle = true;

@@ -74,7 +74,7 @@ TEST(SyntheticDomainTest, PlanResultsAreExactlyTheCoverageBox) {
   utility::CoverageModel model(&d.workload);
   utility::ExecutionContext ctx(&d.workload);
 
-  for (const utility::ConcretePlan plan :
+  for (const utility::ConcretePlan& plan :
        {utility::ConcretePlan{0, 0, 0}, utility::ConcretePlan{1, 2, 3},
         utility::ConcretePlan{4, 4, 4}}) {
     std::vector<datalog::SourceId> choice(3);

@@ -11,6 +11,7 @@
 
 #include "core/greedy.h"
 #include "core/idrips.h"
+#include "core/make_orderer.h"
 #include "core/orderer.h"
 #include "core/pi.h"
 #include "core/streamer.h"
