@@ -36,12 +36,12 @@ double ExecutionTrace::ModeledCost(
 }
 
 StatusOr<std::vector<std::vector<Term>>> ExecutePlanDependent(
-    const datalog::ConjunctiveQuery& rewriting, SourceRegistry& sources,
-    ExecutionTrace* trace) {
+    const datalog::ConjunctiveQuery& rewriting, const SourceLookup& find,
+    const BatchFetch& fetch, ExecutionTrace* trace) {
   PLANORDER_RETURN_IF_ERROR(rewriting.ValidateSafety());
   for (const Atom& atom : rewriting.body) {
     if (datalog::IsComparisonAtom(atom)) continue;
-    const AccessibleSource* source = sources.Find(atom.predicate);
+    const AccessibleSource* source = find(atom.predicate);
     if (source == nullptr) {
       return NotFoundError("no source registered for '" + atom.predicate +
                            "'");
@@ -85,16 +85,11 @@ StatusOr<std::vector<std::vector<Term>>> ExecutePlanDependent(
       if (frontier.empty()) break;
       continue;
     }
-    AccessibleSource& source = *sources.Find(atom.predicate);
-    AtomAccess access;
-    access.source = atom.predicate;
-    const int64_t calls_before = source.stats().calls;
-    const int64_t shipped_before = source.stats().tuples_shipped;
 
     // Collect the distinct binding combinations the frontier sends to the
     // source and ship them as ONE batched call — the semi-join of measure
     // (2): h is paid once per source, alpha per tuple of the joined result.
-    std::vector<Substitution> next;
+    // The frontier is non-empty here, so the batch is too.
     std::vector<std::map<int, Term>> batch;
     std::map<std::string, size_t> combination_index;
     for (const Substitution& partial : frontier) {
@@ -113,12 +108,15 @@ StatusOr<std::vector<std::vector<Term>>> ExecutePlanDependent(
           combination_index.try_emplace(std::move(key), batch.size());
       if (inserted) batch.push_back(std::move(bindings));
     }
+    PLANORDER_RETURN_IF_ERROR(
+        find(atom.predicate)->ValidateBindings(batch.front()));
 
-    if (!batch.empty()) {
-      PLANORDER_RETURN_IF_ERROR(source.ValidateBindings(batch.front()));
-    }
+    AtomAccess access;
+    access.source = atom.predicate;
     PLANORDER_ASSIGN_OR_RETURN(const std::vector<std::vector<Term>> rows,
-                               source.FetchBatch(batch));
+                               fetch(atom.predicate, batch, access));
+    if (trace != nullptr) trace->atoms.push_back(std::move(access));
+    std::vector<Substitution> next;
     for (const Substitution& partial : frontier) {
       for (const auto& row : rows) {
         Substitution extended = partial;
@@ -129,9 +127,6 @@ StatusOr<std::vector<std::vector<Term>>> ExecutePlanDependent(
         if (ok) next.push_back(std::move(extended));
       }
     }
-    access.calls = source.stats().calls - calls_before;
-    access.tuples_shipped = source.stats().tuples_shipped - shipped_before;
-    if (trace != nullptr) trace->atoms.push_back(std::move(access));
     frontier = std::move(next);
     if (frontier.empty()) break;
   }
@@ -156,6 +151,28 @@ StatusOr<std::vector<std::vector<Term>>> ExecutePlanDependent(
     }
   }
   return answers;
+}
+
+StatusOr<std::vector<std::vector<Term>>> ExecutePlanDependent(
+    const datalog::ConjunctiveQuery& rewriting, SourceRegistry& sources,
+    ExecutionTrace* trace) {
+  return ExecutePlanDependent(
+      rewriting,
+      [&sources](const std::string& predicate) {
+        return sources.Find(predicate);
+      },
+      [&sources](const std::string& predicate,
+                 const std::vector<std::map<int, Term>>& batch,
+                 AtomAccess& access) {
+        AccessibleSource& source = *sources.Find(predicate);
+        const AccessStats before = source.stats();
+        auto rows = source.FetchBatch(batch);
+        access.calls = source.stats().calls - before.calls;
+        access.tuples_shipped =
+            source.stats().tuples_shipped - before.tuples_shipped;
+        return rows;
+      },
+      trace);
 }
 
 }  // namespace planorder::exec

@@ -1,6 +1,8 @@
 #ifndef PLANORDER_EXEC_DEPENDENT_JOIN_H_
 #define PLANORDER_EXEC_DEPENDENT_JOIN_H_
 
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -33,14 +35,39 @@ struct ExecutionTrace {
                      const std::vector<double>& alpha_per_atom) const;
 };
 
-/// Executes a rewriting p(Y) :- V1(U1), ..., Vn(Un) against the registry by
-/// left-to-right *dependent joins*, the strategy cost measure (2) models:
-/// atom 1 is fetched with its constant bindings, every later atom is called
-/// once per distinct combination of values flowing in from the prefix (the
-/// semi-join "feed the titles into V_j"). Returns the distinct head tuples
-/// and, optionally, the access trace.
+/// Resolves a body predicate to the source the join validates it against
+/// (arity, function-free arguments, binding pattern) before any call is
+/// made; nullptr when no such source exists.
+using SourceLookup =
+    std::function<const AccessibleSource*(const std::string& predicate)>;
+
+/// One atom's batched semi-join: ships `batch` — the distinct binding
+/// combinations flowing in from the prefix, in first-seen order, all binding
+/// one position set, never empty — to the source `predicate` names, and
+/// returns the deduplicated union of the matching rows in the order
+/// AccessibleSource::FetchBatch returns them. Records the source calls made
+/// and tuples shipped in `access`. A non-OK status fails the whole plan.
+using BatchFetch =
+    std::function<StatusOr<std::vector<std::vector<datalog::Term>>>(
+        const std::string& predicate,
+        const std::vector<std::map<int, datalog::Term>>& batch,
+        AtomAccess& access)>;
+
+/// Executes a rewriting p(Y) :- V1(U1), ..., Vn(Un) by left-to-right
+/// *dependent joins*, the strategy cost measure (2) models: atom 1 is fetched
+/// with its constant bindings, every later atom is called once per distinct
+/// combination of values flowing in from the prefix (the semi-join "feed the
+/// titles into V_j"), shipped as one batch through `fetch`. Comparison atoms
+/// filter the bindings locally. Returns the distinct head tuples in frontier
+/// order and, optionally, the access trace (one entry per body atom).
 ///
-/// The rewriting must be safe and every body predicate registered.
+/// The rewriting must be safe and `find` must resolve every body predicate.
+StatusOr<std::vector<std::vector<datalog::Term>>> ExecutePlanDependent(
+    const datalog::ConjunctiveQuery& rewriting, const SourceLookup& find,
+    const BatchFetch& fetch, ExecutionTrace* trace = nullptr);
+
+/// The serial dependent join against the registry: each batch is one
+/// AccessibleSource::FetchBatch call.
 StatusOr<std::vector<std::vector<datalog::Term>>> ExecutePlanDependent(
     const datalog::ConjunctiveQuery& rewriting, SourceRegistry& sources,
     ExecutionTrace* trace = nullptr);

@@ -7,7 +7,6 @@
 #include "datalog/conjunctive_query.h"
 #include "exec/mediator.h"
 #include "exec/source_access.h"
-#include "runtime/parallel_join.h"
 #include "runtime/remote_source.h"
 #include "runtime/retry_policy.h"
 #include "runtime/thread_pool.h"
@@ -22,8 +21,6 @@ struct RuntimeOptions {
   int num_threads = 4;
   /// Max concurrent partitions per batched source call; 0 = num_threads.
   int max_partitions_per_call = 0;
-  /// Don't split batches below this many binding combinations.
-  int min_partition_size = 1;
   /// Seed of the simulated network (see RemoteRegistry).
   uint64_t seed = 1;
   /// Wall-clock realism: 1.0 sleeps simulated milliseconds for real,
@@ -36,8 +33,10 @@ struct RuntimeOptions {
   /// Applied to every source; override per source via remotes().Configure.
   NetworkModel default_model;
   RetryPolicy retry;
-  /// Per-plan budget on simulated elapsed time; exceeded plans are reported
-  /// as failed (discarded by the mediator). <= 0 = none.
+  /// Per-plan budget on simulated elapsed time: the sum over atoms of the
+  /// slowest partition of each batched call (the critical path), including
+  /// failed attempts and backoff waits. Exceeded plans are reported as
+  /// failed (discarded by the mediator). <= 0 = none.
   double plan_budget_ms = 0.0;
   /// Shared cross-session source-operation result cache (borrowed, may be
   /// null). When set, every RemoteSource consults it before paying network
@@ -76,18 +75,24 @@ class SourceRuntime : public exec::PlanExecutor {
   const RemoteRegistry& remotes() const { return remotes_; }
   ThreadPool& pool() { return pool_; }
 
-  /// Executes one rewriting by parallel resilient dependent joins. Source
-  /// failure is reported via PlanExecution::failed (never a non-OK status),
-  /// so the mediator can discard the plan and continue.
+  /// Executes one rewriting by exec::ExecutePlanDependent with each atom's
+  /// batched semi-join made resilient and partitioned across the pool: the
+  /// batch is split into contiguous chunks fetched concurrently from the
+  /// RemoteSource, and the chunk results are merged in chunk order with
+  /// first-occurrence dedup — the serial FetchBatch row sequence, so with
+  /// faults disabled this returns the serial path's answers in the same
+  /// order. Source failure (an outage that survives retries, or a blown
+  /// plan budget) is reported via PlanExecution::failed with the work the
+  /// plan burned (never a non-OK status), so the mediator can discard the
+  /// plan and continue. A body predicate the runtime does not shadow is
+  /// kNotFound.
   StatusOr<exec::PlanExecution> ExecutePlan(
       const datalog::ConjunctiveQuery& rewriting) override;
 
  private:
   RuntimeOptions options_;
-  exec::SourceRegistry* sources_;
   ThreadPool pool_;
   RemoteRegistry remotes_;
-  ParallelJoinOptions join_options_;
 };
 
 }  // namespace planorder::runtime

@@ -18,9 +18,9 @@ namespace planorder::runtime {
 /// work.
 ///
 /// The pool is the concurrency substrate of the resilient source-access
-/// runtime: parallel dependent-join partitions (see parallel_join.h) and any
-/// future parallel work (plan evaluation sharding, statistics estimation) go
-/// through here rather than spawning ad-hoc threads.
+/// runtime: the partitioned batch fetches of SourceRuntime::ExecutePlan and
+/// any future parallel work (plan evaluation sharding, statistics
+/// estimation) go through here rather than spawning ad-hoc threads.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers (clamped to at least 1).

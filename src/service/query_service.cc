@@ -184,10 +184,9 @@ StatusOr<QueryService::ReformulationOutcome> QueryService::Reformulate(
   }
   std::shared_ptr<const CachedReformulation> entry = cache_.Lookup(canonical);
   if (entry != nullptr) {
-    bool verified = true;
-    if (options_.verify_cache_hits) {
-      verified =
-          datalog::AreEquivalent(entry->canonical.query, canonical.query);
+    const bool verified =
+        datalog::AreEquivalent(entry->canonical.query, canonical.query);
+    {
       MutexLock lock(mu_);
       ++cache_verifications_;
       if (!verified) ++cache_verification_failures_;

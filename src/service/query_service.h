@@ -24,12 +24,11 @@ namespace planorder::service {
 
 /// Configuration of a QueryService.
 struct ServiceOptions {
-  /// Reformulation-cache entries kept resident; 0 disables the cache.
+  /// Reformulation-cache entries kept resident; 0 disables the cache. Every
+  /// hit is verified with the Chandra-Merlin containment test (the cached
+  /// canonical query must be equivalent to the incoming one), collision
+  /// safety beyond the key-string comparison.
   size_t cache_capacity = 64;
-  /// On each cache hit, additionally verify with the Chandra-Merlin
-  /// containment test that the cached canonical query is equivalent to the
-  /// incoming one (collision safety beyond the key-string comparison).
-  bool verify_cache_hits = true;
 
   /// Admission control: at most this many sessions hold slots at once ...
   int max_active_sessions = 8;

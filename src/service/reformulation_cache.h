@@ -30,9 +30,9 @@ struct CachedReformulation {
 /// Thread-safe LRU cache of reformulations keyed by canonical form. The
 /// structural hash indexes the table; a hit additionally requires the full
 /// canonical key string to match (hash collisions are counted and treated as
-/// misses, never served). Callers may layer a containment-based equivalence
-/// verification on top (see ServiceOptions::verify_cache_hits) — the
-/// belt-and-braces check that a key match really is query equivalence.
+/// misses, never served). QueryService layers a containment-based
+/// equivalence verification on top of every hit — the belt-and-braces check
+/// that a key match really is query equivalence.
 class ReformulationCache {
  public:
   struct Stats {

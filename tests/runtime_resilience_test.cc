@@ -14,7 +14,6 @@
 #include "exec/source_access.h"
 #include "exec/synthetic_domain.h"
 #include "reformulation/bucket.h"
-#include "runtime/parallel_join.h"
 #include "runtime/source_runtime.h"
 #include "utility/coverage_model.h"
 
@@ -277,19 +276,78 @@ TEST_F(MovieRuntimeTest, ParallelJoinPreservesSerialRowOrder) {
   ASSERT_TRUE(serial.ok());
 
   RuntimeOptions options = QuietOptions(4);
-  options.min_partition_size = 1;  // force splitting even tiny batches
+  options.max_partitions_per_call = 4;
   SourceRuntime runtime(&registry_, options);
-  ParallelJoinOptions join_options;
-  join_options.max_partitions = 4;
-  join_options.min_partition_size = 1;
-  exec::ExecutionTrace trace;
-  auto parallel = ExecutePlanDependentParallel(
-      *plan, runtime.remotes(), runtime.pool(), join_options, &trace);
+  auto parallel = runtime.ExecutePlan(*plan);
   ASSERT_TRUE(parallel.ok()) << parallel.status();
-  EXPECT_EQ(*serial, *parallel);  // same answers, same order
-  ASSERT_EQ(trace.atoms.size(), 2u);
-  // v3 ships 3 distinct movies to v4: split across several partition calls.
-  EXPECT_GT(trace.atoms[1].calls, 1);
+  ASSERT_FALSE(parallel->failed) << parallel->failure_reason;
+  EXPECT_EQ(*serial, parallel->tuples);  // same answers, same order
+  // One call for v3; v3 ships 3 distinct movies to v4, split across several
+  // partition calls.
+  EXPECT_GT(parallel->source_calls, 2);
+}
+
+TEST_F(MovieRuntimeTest, BlownBudgetFailsPlanAtTheExhaustingAtom) {
+  // 40 ms per call against a 50 ms budget: v3 (one call) fits, v4 (two
+  // concurrent partitions, 40 ms on the critical path) blows it, and v6 is
+  // never contacted.
+  RuntimeOptions options = QuietOptions(4);
+  options.default_model.base_latency_ms = 40.0;
+  options.plan_budget_ms = 50.0;
+  SourceRuntime runtime(&registry_, options);
+  auto plan = ParseRule("q(M,R) :- v3(ford,M), v4(R,M), v6(R,M)");
+  ASSERT_TRUE(plan.ok());
+  auto execution = runtime.ExecutePlan(*plan);
+  ASSERT_TRUE(execution.ok()) << execution.status();
+  EXPECT_TRUE(execution->failed);
+  EXPECT_TRUE(execution->tuples.empty());
+  EXPECT_EQ(execution->failure_reason,
+            "DEADLINE_EXCEEDED: plan budget of 50.000000ms exhausted at "
+            "'v4'");
+  // The exhausting atom's work is part of the failed plan's cost: v3 made
+  // one call shipping {witness, sabrina}; v4 split that batch in two and
+  // shipped one review each.
+  EXPECT_EQ(execution->source_calls, 3);
+  EXPECT_EQ(execution->tuples_shipped, 4);
+  EXPECT_DOUBLE_EQ(execution->runtime.latency_ms_total, 120.0);
+  EXPECT_DOUBLE_EQ(execution->runtime.latency_ms_max, 40.0);
+  EXPECT_EQ(runtime.remotes().Find("v6")->stats().latency_ms_total, 0.0);
+}
+
+TEST_F(MovieRuntimeTest, DeadSourceFailsPlanWithPrefixAccounting) {
+  RuntimeOptions options = QuietOptions(4);
+  SourceRuntime runtime(&registry_, options);
+  NetworkModel dead;
+  dead.permanently_failed = true;
+  ASSERT_TRUE(runtime.remotes().Configure("v4", dead).ok());
+  auto plan = ParseRule("q(M,R) :- v3(ford,M), v4(R,M)");
+  ASSERT_TRUE(plan.ok());
+  auto execution = runtime.ExecutePlan(*plan);
+  ASSERT_TRUE(execution.ok()) << execution.status();
+  EXPECT_TRUE(execution->failed);
+  EXPECT_TRUE(execution->tuples.empty());
+  EXPECT_EQ(execution->failure_reason,
+            "UNAVAILABLE: source 'v4' is permanently down");
+  // Only the completed prefix (v3) counts as calls and shipping; the dead
+  // atom's two partition attempts show up as permanent failures.
+  EXPECT_EQ(execution->source_calls, 1);
+  EXPECT_EQ(execution->tuples_shipped, 2);
+  EXPECT_EQ(execution->runtime.permanent_failures, 2);
+  EXPECT_EQ(execution->runtime.retries, 0);
+}
+
+TEST_F(MovieRuntimeTest, SourceRegisteredAfterRuntimeIsNotFound) {
+  // The runtime shadows the registry as it was at construction; a later
+  // source is unknown to it, and the plan is rejected before any call.
+  SourceRuntime runtime(&registry_, QuietOptions(4));
+  ASSERT_TRUE(registry_.Register("v7", 2).ok());
+  auto plan = ParseRule("q(M,R) :- v3(ford,M), v7(R,M)");
+  ASSERT_TRUE(plan.ok());
+  const int64_t v3_calls = registry_.Find("v3")->stats().calls;
+  auto execution = runtime.ExecutePlan(*plan);
+  ASSERT_FALSE(execution.ok());
+  EXPECT_EQ(execution.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(registry_.Find("v3")->stats().calls, v3_calls);
 }
 
 /// Larger-scale equivalence on a generated domain, exercising real pool
